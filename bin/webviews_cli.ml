@@ -21,7 +21,9 @@
      webviews analyze  [--site ...] [--format text|json] [--strict]
                        ["SELECT ..." ...]
 
-   webviews --version prints the release. *)
+   webviews --version prints the release. A query the SQL front end
+   rejects (malformed, or naming an unknown relation or attribute)
+   exits 2 with its diagnostics on stderr. *)
 
 open Cmdliner
 open Webviews
@@ -169,6 +171,22 @@ let views_arg =
                light-connection economics); a chosen substitution is \
                reported with its residual predicate and HEAD/GET split.")
 
+(* Front-end gate of the commands that plan one query: SQL the parser
+   rejects ends the command with typed diagnostics on stderr — the
+   query lint's E0308 (malformed SQL) or E03xx (unknown relation or
+   attribute) — and exit code 2, never an uncaught parser exception. *)
+let front_end loaded sql =
+  match Sql_parser.parse loaded.registry sql with
+  | _ -> ()
+  | exception Sql_parser.Parse_error msg ->
+    let ds =
+      match Diagnostic.errors (Typecheck.lint_sql loaded.schema loaded.registry sql) with
+      | [] -> [ Diagnostic.error ~code:"E0308" "SQL parse error: %s" msg ]
+      | ds -> ds
+    in
+    List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) ds;
+    exit 2
+
 let with_site f site depts profs courses seed =
   f (load site ~depts ~profs ~courses ~seed)
 
@@ -207,6 +225,7 @@ let plan_cmd =
   let run cap n dot sql loaded =
     if loaded.registry = [] then Fmt.epr "this site has no external view@."
     else begin
+      front_end loaded sql;
       let stats = stats_of loaded in
       let outcome =
         Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
@@ -245,6 +264,7 @@ let plan_cmd =
 
 let explain_cmd =
   let run cap physical window use_views sql loaded =
+    front_end loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let econ = Option.map Viewstore.econ vs in
@@ -305,6 +325,7 @@ let explain_cmd =
 
 let query_cmd =
   let run cap use_views sql loaded =
+    front_end loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let http = Websim.Http.connect loaded.site in
@@ -341,6 +362,7 @@ let query_cmd =
 
 let run_cmd =
   let run faults latency window retries net_seed cap limit sql loaded =
+    front_end loaded sql;
     let stats = stats_of loaded in
     let http = Websim.Http.connect loaded.site in
     let netmodel =
@@ -418,6 +440,7 @@ let matview_cmd =
       Fmt.epr "this site cannot be crawled (form-only); use query/run instead@.";
       exit 2
     end;
+    front_end loaded sql;
     let stats = stats_of loaded in
     let http = Websim.Http.connect loaded.site in
     let mv = Matview.materialize loaded.schema http in

@@ -61,4 +61,19 @@ grep -q '"code":"E0111"' /tmp/ci_bindings_analyze.$$ \
   || { echo "E0111 missing from analyze --format=json"; rm -f /tmp/ci_bindings_analyze.$$; exit 1; }
 rm -f /tmp/ci_bindings_analyze.$$
 
+echo "== smoke front end: bad SQL exits 2 with a diagnostic code, never 125 =="
+for bad in "SELEC x" "SELECT z.Foo FROM Nope z"; do
+  status=0
+  dune exec --profile ci bin/webviews_cli.exe -- query "$bad" \
+    > /tmp/ci_front_end.$$ 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "query \"$bad\" exited $status, expected 2"; cat /tmp/ci_front_end.$$
+    rm -f /tmp/ci_front_end.$$; exit 1
+  fi
+  grep -q "error\[E03[0-9][0-9]\]" /tmp/ci_front_end.$$ \
+    || { echo "no diagnostic code for \"$bad\""; cat /tmp/ci_front_end.$$; rm -f /tmp/ci_front_end.$$; exit 1; }
+  head -n 1 /tmp/ci_front_end.$$
+done
+rm -f /tmp/ci_front_end.$$
+
 echo "== ci: all green =="

@@ -706,19 +706,30 @@ let equiv q1 q2 =
 (* Equivalence-keyed canonical form                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Serialize a tableau under an occurrence renumbering π; the key is
-   the lexicographic minimum over all renumberings that permute only
-   occurrences with the same kind/name signature. Isomorphic tableaux
-   (equal up to occurrence renaming — bag equivalence on the
-   conjunctive fragment) therefore share a key, and distinct keys are
-   possible for equivalent plans (the key is sound for deduplication,
-   not complete). *)
+(* The key of a tableau is its encoding under a canonical occurrence
+   numbering, so isomorphic tableaux (equal up to a renumbering that
+   maps each occurrence to one of the same kind/name signature — bag
+   equivalence on the conjunctive fragment) share a key, and distinct
+   keys are possible for equivalent plans (the key is sound for
+   deduplication, not complete). The numbering is found by canonical
+   labeling:
 
-let value_str v = Adm.Value.type_name v ^ ":" ^ Adm.Value.to_string v
+   1. colour every occurrence by its signature, then refine the
+      colours with what each occurrence touches — navigations,
+      unnests, equality classes, residual comparisons and outputs,
+      each read through its partners' current colours — until the
+      number of colours stops growing. Colours are ranks of
+      renumbering-invariant descriptions, so isomorphic tableaux get
+      corresponding colourings;
+   2. number the occurrences colour by colour, and try every order
+      only within the cells whose occurrences are still tied;
+   3. keep the least encoding.
 
-let bound_str = function
-  | None -> "_"
-  | Some (v, s) -> (if s then "!" else "=") ^ value_str v
+   Any numbering that respects the sorted signature groups gives a
+   faithful encoding, so two keys are equal exactly when some
+   signature-respecting renumbering makes the tableaux equal — the same
+   partition as taking the least encoding over every such renumbering,
+   at the cost of the tied cells only. *)
 
 let perm_cap = 720
 
@@ -737,74 +748,237 @@ let occ_sig (t : tableau) i =
   in
   kind ^ "/" ^ o.name ^ "/" ^ steps
 
+(* Prefix-free encoders: every field is either fixed-width, or
+   terminated, or length-prefixed, so distinct structures never
+   encode alike. *)
+let put_int b i =
+  Buffer.add_string b (string_of_int i);
+  Buffer.add_char b ','
+
+let put_str b s =
+  put_int b (String.length s);
+  Buffer.add_string b s
+
+let put_list b put l =
+  put_int b (List.length l);
+  List.iter (put b) l
+
+let put_term b (o, p) =
+  put_int b o;
+  put_list b put_str p
+
+let put_value b (v : Adm.Value.t) =
+  match v with
+  | Null -> Buffer.add_char b 'N'
+  | Bool x -> Buffer.add_char b (if x then 'T' else 'F')
+  | Int i ->
+    Buffer.add_char b 'i';
+    put_int b i
+  | Text a ->
+    Buffer.add_char b 't';
+    put_str b (Adm.Value.Atom.str a)
+  | Link a ->
+    Buffer.add_char b 'l';
+    put_str b (Adm.Value.Atom.str a)
+  | Rows _ ->
+    Buffer.add_char b 'r';
+    put_str b (Adm.Value.to_string v)
+
+let put_bound b = function
+  | None -> Buffer.add_char b '_'
+  | Some (v, strict) ->
+    Buffer.add_char b (if strict then '<' else '=');
+    put_value b v
+
+(* The constants of a class: binding, bounds and exclusions. *)
+let class_consts (c : cls) =
+  let b = Buffer.create 32 in
+  (match c.binding with
+  | None -> Buffer.add_char b '_'
+  | Some v -> put_value b v);
+  put_bound b c.lo;
+  put_bound b c.hi;
+  put_list b put_value c.excluded;
+  Buffer.contents b
+
+(* Dense ranks of [a] under [compare]; equal elements share a rank. *)
+let dense_ranks a =
+  let n = Array.length a in
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> compare a.(i) a.(j)) order;
+  let ranks = Array.make n 0 in
+  Array.iteri
+    (fun k i ->
+      ranks.(i) <-
+        (if k = 0 then 0
+         else if compare a.(order.(k - 1)) a.(i) = 0 then ranks.(order.(k - 1))
+         else ranks.(order.(k - 1)) + 1))
+    order;
+  ranks
+
+let n_distinct ranks = Array.fold_left (fun m r -> max m (r + 1)) 0 ranks
+
+(* What an occurrence touches, with partners named by colour. *)
+type feature =
+  | Nav_out of string list * int (* link steps, target colour *)
+  | Nav_in of string list * int (* link steps, source colour *)
+  | Unnested of string list
+  | Member of string list * int (* attribute path, class colour *)
+  | Res_left of string list * Pred.cmp * int * string list
+  | Res_right of string list * Pred.cmp * int * string list
+  | Output of int * string list (* position of an unclassed output *)
+
+(* Refine the signature colouring to a stable colouring. [consts] are
+   the classes' {!class_consts}. *)
+let refine (t : tableau) (outputs : term list) sigs consts =
+  let n = Array.length t.occs in
+  let class_outs = Array.make (Array.length t.classes) [] in
+  let loose_outs = ref [] in
+  List.iteri
+    (fun k o ->
+      match Hashtbl.find_opt t.cls_of o with
+      | Some c -> class_outs.(c) <- k :: class_outs.(c)
+      | None -> loose_outs := (k, o) :: !loose_outs)
+    outputs;
+  (* one round: each occurrence's colour, split by its features *)
+  let step colour =
+    let class_colour =
+      dense_ranks
+        (Array.mapi
+           (fun c (cl : cls) ->
+             ( consts.(c),
+               class_outs.(c),
+               List.sort compare (List.map (fun (o, p) -> (colour.(o), p)) cl.members) ))
+           t.classes)
+    in
+    let feats = Array.make n [] in
+    let add o f = feats.(o) <- f :: feats.(o) in
+    List.iter
+      (fun (s, steps, d) ->
+        add s (Nav_out (steps, colour.(d)));
+        add d (Nav_in (steps, colour.(s))))
+      t.navs;
+    List.iter (fun (o, p) -> add o (Unnested p)) t.unnests;
+    Array.iteri
+      (fun c (cl : cls) ->
+        List.iter (fun (o, p) -> add o (Member (p, class_colour.(c)))) cl.members)
+      t.classes;
+    List.iter
+      (fun ((xo, xp), cmp, (yo, yp)) ->
+        add xo (Res_left (xp, cmp, colour.(yo), yp));
+        add yo (Res_right (yp, cmp, colour.(xo), xp)))
+      t.residuals;
+    List.iter (fun (k, (o, p)) -> add o (Output (k, p))) !loose_outs;
+    dense_ranks (Array.mapi (fun i fs -> (colour.(i), List.sort compare fs)) feats)
+  in
+  let rec go colour =
+    if n_distinct colour = n then colour
+    else
+      let colour' = step colour in
+      if n_distinct colour' = n_distinct colour then colour else go colour'
+  in
+  go (dense_ranks sigs)
+
+(* The tableau encoded under the numbering [label] (occurrence ->
+   position). Sets are written sorted, so the encoding depends only on
+   the renumbered tableau. *)
+let encode (t : tableau) (outputs : term list) sigs consts label =
+  let b = Buffer.create 256 in
+  let rel (o, p) = (label.(o), p) in
+  let by_label = Array.make (Array.length sigs) "" in
+  Array.iteri (fun i s -> by_label.(label.(i)) <- s) sigs;
+  put_list b put_str (Array.to_list by_label);
+  put_list b
+    (fun b (s, steps, d) ->
+      put_int b s;
+      put_list b put_str steps;
+      put_int b d)
+    (List.sort compare (List.map (fun (s, steps, d) -> (label.(s), steps, label.(d))) t.navs));
+  put_list b put_term (List.sort compare (List.map rel t.unnests));
+  let members c = List.sort compare (List.map rel t.classes.(c).members) in
+  put_list b
+    (fun b (ms, consts) ->
+      put_list b put_term ms;
+      put_str b consts)
+    (List.sort compare
+       (List.init (Array.length t.classes) (fun c ->
+            (members c, consts.(c)))));
+  put_list b
+    (fun b (x, cmp, y) ->
+      put_term b x;
+      put_str b (Pred.cmp_to_string cmp);
+      put_term b y)
+    (List.sort compare (List.map (fun (x, cmp, y) -> (rel x, cmp, rel y)) t.residuals));
+  put_list b
+    (fun b o ->
+      match Hashtbl.find_opt t.cls_of o with
+      | Some c ->
+        Buffer.add_char b 'c';
+        put_list b put_term (members c)
+      | None ->
+        Buffer.add_char b 't';
+        put_term b (rel o))
+    outputs;
+  Buffer.contents b
+
 let rec permutations = function
   | [] -> [ [] ]
   | l ->
     List.concat_map
-      (fun x ->
-        let rest = List.filter (fun y -> y <> x) l in
-        List.map (fun p -> x :: p) (permutations rest))
+      (fun x -> List.map (fun p -> x :: p) (permutations (List.filter (( <> ) x) l)))
       l
 
-let serialize_under (t : tableau) (pi : int array) (outputs : term list) =
-  let buf = Buffer.create 256 in
-  let term_str (o, p) =
-    string_of_int pi.(o) ^ "." ^ String.concat "." p
+(* Least encoding over the numberings that respect the stable
+   colouring: cells take consecutive positions in colour order, and
+   only the occurrences within a cell trade places. *)
+let canonical_encoding t outputs sigs =
+  let n = Array.length sigs in
+  let consts = Array.map class_consts t.classes in
+  let colour = refine t outputs sigs consts in
+  let cells =
+    List.init n Fun.id
+    |> List.stable_sort (fun i j -> Int.compare colour.(i) colour.(j))
+    |> List.fold_left
+         (fun acc i ->
+           match acc with
+           | (j :: _ as cell) :: rest when colour.(j) = colour.(i) -> (i :: cell) :: rest
+           | _ -> [ i ] :: acc)
+         []
+    |> List.rev_map List.rev
   in
-  let add = Buffer.add_string buf in
-  let occ_strs =
-    Array.to_list (Array.mapi (fun i _ -> (pi.(i), occ_sig t i)) t.occs)
-    |> List.sort compare
-    |> List.map snd
+  let label = Array.make n 0 in
+  let best = ref None in
+  let rec assign base = function
+    | [] ->
+      let s = encode t outputs sigs consts label in
+      (match !best with Some b when String.compare b s <= 0 -> () | _ -> best := Some s)
+    | cell :: rest ->
+      List.iter
+        (fun order ->
+          List.iteri (fun k i -> label.(i) <- base + k) order;
+          assign (base + List.length cell) rest)
+        (permutations cell)
   in
-  add (String.concat ";" occ_strs);
-  add "|N:";
-  t.navs
-  |> List.map (fun (s, steps, d) ->
-         Fmt.str "%d>%s>%d" pi.(s) (String.concat "." steps) pi.(d))
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|U:";
-  t.unnests
-  |> List.map term_str
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|C:";
-  let class_strs =
-    Array.to_list t.classes
-    |> List.map (fun c ->
-           let members =
-             List.map term_str c.members |> List.sort String.compare
-           in
-           Fmt.str "{%s}b%s l%s h%s x%s"
-             (String.concat "," members)
-             (match c.binding with None -> "_" | Some v -> value_str v)
-             (bound_str c.lo) (bound_str c.hi)
-             (String.concat "," (List.map value_str c.excluded)))
-    |> List.sort String.compare
+  assign 0 cells;
+  Option.get !best
+
+(* Saturating product of the factorials of the signature groups' sizes:
+   it stops multiplying as soon as the running product passes
+   [perm_cap], so a large group (≥ 21 same-signature occurrences)
+   cannot overflow the int, wrap below the cap, and slip past the
+   guard. *)
+let signature_perms sigs =
+  let sorted = List.sort String.compare (Array.to_list sigs) in
+  let rec groups acc run = function
+    | a :: (b :: _ as rest) when String.equal a b -> groups acc (run + 1) rest
+    | _ :: rest -> groups (run :: acc) 1 rest
+    | [] -> acc
   in
-  List.iter (fun s -> add s; add ";") class_strs;
-  add "|R:";
-  t.residuals
-  |> List.map (fun (x, cmp, y) ->
-         Fmt.str "%s%s%s" (term_str x) (Pred.cmp_to_string cmp) (term_str y))
-  |> List.sort String.compare
-  |> List.iter (fun s -> add s; add ";");
-  add "|O:";
-  List.iter
-    (fun o ->
-      (* name the output by its class when it has one, so equivalent
-         plans projecting different members of one equality class
-         agree; classes are referenced by their sorted serialization *)
-      (match Hashtbl.find_opt t.cls_of o with
-      | Some i ->
-        let c = t.classes.(i) in
-        let members = List.map term_str c.members |> List.sort String.compare in
-        add "{"; add (String.concat "," members); add "}"
-      | None -> add (term_str o));
-      add ";")
-    outputs;
-  Buffer.contents buf
+  List.fold_left
+    (fun acc k ->
+      let rec go acc k = if acc > perm_cap || k <= 1 then acc else go (acc * k) (k - 1) in
+      go acc k)
+    1 (groups [] 1 sorted)
 
 let plan_key (e : Nalg.expr) : string =
   match of_expr e with
@@ -812,73 +986,13 @@ let plan_key (e : Nalg.expr) : string =
     match t.outputs with
     | None -> "S:" ^ Nalg.canonical e
     | Some outputs ->
-      let n = Array.length t.occs in
-      (* group occurrence indices by signature *)
-      let groups = Hashtbl.create 8 in
-      for i = 0 to n - 1 do
-        let s = occ_sig t i in
-        Hashtbl.replace groups s (i :: Option.value ~default:[] (Hashtbl.find_opt groups s))
-      done;
-      let group_list =
-        Hashtbl.fold (fun s is acc -> (s, List.rev is) :: acc) groups []
-        |> List.sort compare
-      in
-      let count =
-        (* saturating product of factorials: stop multiplying as soon
-           as the running product passes perm_cap, so a large group
-           (≥ 21 same-signature occurrences) cannot overflow the int,
-           wrap below the cap, and slip past the guard into an n!
-           enumeration *)
-        List.fold_left
-          (fun acc (_, is) ->
-            let rec go acc k =
-              if acc > perm_cap || k <= 1 then acc else go (acc * k) (k - 1)
-            in
-            go acc (List.length is))
-          1 group_list
-      in
-      if count > perm_cap then "S:" ^ Nalg.canonical e
-      else begin
-        (* enumerate renumberings: each group's indices take the
-           consecutive block of new positions assigned to the group,
-           in every order *)
-        let blocks =
-          let base = ref 0 in
-          List.map
-            (fun (_, is) ->
-              let b = !base in
-              base := !base + List.length is;
-              (b, is))
-            group_list
-        in
-        let rec assignments = function
-          | [] -> [ [] ]
-          | (b, is) :: rest ->
-            let tails = assignments rest in
-            List.concat_map
-              (fun perm ->
-                let pairs = List.mapi (fun k i -> (i, b + k)) perm in
-                List.map (fun tl -> pairs @ tl) tails)
-              (permutations is)
-        in
-        let best = ref None in
-        List.iter
-          (fun pairs ->
-            let pi = Array.make n 0 in
-            List.iter (fun (i, ni) -> pi.(i) <- ni) pairs;
-            let s = serialize_under t pi outputs in
-            match !best with
-            | Some b when String.compare b s <= 0 -> ()
-            | _ -> best := Some s)
-          (assignments blocks);
-        match !best with
-        | Some s -> "T:" ^ s
-        | None -> "S:" ^ Nalg.canonical e
-      end)
+      let sigs = Array.init (Array.length t.occs) (occ_sig t) in
+      if signature_perms sigs > perm_cap then "S:" ^ Nalg.canonical e
+      else "T:" ^ canonical_encoding t outputs sigs)
   | Some t -> (
     (* provably empty: all empty plans of one arity are equivalent *)
     match t.outputs with
-    | Some outputs -> Fmt.str "T:UNSAT:%d" (List.length outputs)
+    | Some outputs -> "T:UNSAT:" ^ string_of_int (List.length outputs)
     | None -> "S:" ^ Nalg.canonical e)
   | None -> "S:" ^ Nalg.canonical e
 

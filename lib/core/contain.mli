@@ -20,8 +20,46 @@
     ({!View.relation}'s [rel_keys]), which preserves results under bag
     semantics. *)
 
-type tableau
-(** The canonical form. Abstract; build with {!of_expr}. *)
+type occ_kind = Entry_occ | External_occ | Follow_occ
+
+type occ = { kind : occ_kind; name : string }
+(** One leaf of the plan: an entry point, an external relation, or a
+    followed page-scheme, with its scheme or relation name. *)
+
+type term = int * string list
+(** An occurrence index and an attribute path within it. *)
+
+type bound = Adm.Value.t * bool
+(** A range bound and whether it is strict. *)
+
+type cls = {
+  members : term list;  (** sorted, distinct *)
+  binding : Adm.Value.t option;
+  lo : bound option;
+  hi : bound option;
+  excluded : Adm.Value.t list;  (** sorted, distinct *)
+  nonnull : bool;
+}
+(** An equality class of terms and the constants it carries. *)
+
+type residual = term * Pred.cmp * term
+(** An attribute-attribute comparison ([<>], [<] or [<=]) between
+    class roots. *)
+
+type tableau = {
+  occs : occ array;
+  navs : (int * string list * int) list;
+      (** source occurrence, link steps, target occurrence *)
+  unnests : (int * string list) list;
+  classes : cls array;
+  cls_of : (term, int) Hashtbl.t;  (** every constrained term's class *)
+  residuals : residual list;
+  outputs : term list option;  (** the top projection, in order *)
+  unsat : bool;
+}
+(** The canonical form; build with {!of_expr}. Exposed read-only in
+    spirit so tests can check {!plan_key} against a brute-force
+    enumeration. *)
 
 val of_expr : Nalg.expr -> tableau option
 (** Canonicalize a plan. [None] when the plan is outside the supported
@@ -53,13 +91,26 @@ val contains : Nalg.expr -> Nalg.expr -> bool
 val equiv : Nalg.expr -> Nalg.expr -> bool
 (** Containment both ways. *)
 
+val occ_sig : tableau -> int -> string
+(** An occurrence's signature: kind, scheme or relation name, and for
+    a followed page-scheme the link steps that reach it. Renumberings
+    that {!plan_key} considers map occurrences only onto occurrences
+    with the same signature. *)
+
+val perm_cap : int
+(** The most signature-respecting renumberings a tableau may have for
+    {!plan_key} to label it; above it the key is structural. *)
+
 val plan_key : Nalg.expr -> string
 (** Equivalence-keyed canonical form: plans whose tableaux are
-    isomorphic (equal up to occurrence renaming — bag equivalence for
-    the conjunctive fragment) share a key. Falls back to
-    {!Nalg.canonical} outside the supported fragment, so the key is
-    always at least as coarse as structural identity and never merges
-    plans it cannot analyze. *)
+    isomorphic (equal up to a signature-respecting occurrence renaming
+    — bag equivalence for the conjunctive fragment) share a key. The
+    key is the tableau's encoding under a canonical numbering found by
+    colour refinement, trying orders only among occurrences still tied
+    after refinement. Falls back to {!Nalg.canonical} outside the
+    supported fragment and when the signature groups admit more than
+    {!perm_cap} renumberings, so the key is always at least as coarse
+    as structural identity and never merges plans it cannot analyze. *)
 
 val minimize_query :
   View.registry -> Conjunctive.t -> Conjunctive.t * Diagnostic.t list

@@ -111,26 +111,28 @@ let rec map f e =
 
 let size e = fold (fun n _ -> n + 1) 0 e
 
-(* Structural equality. Predicates compare atom-by-atom, so two plans
-   are equal exactly when they are the same tree — rewrites that only
-   reorder atoms produce distinct (if equivalent) plans, as before. *)
-let rec equal e1 e2 =
+(* Structural comparison of two plans, with [pred] deciding when two
+   selections' predicates agree. Shared subtrees — rewrites rebuild
+   only the spine they touch — are recognised by physical equality. *)
+let rec same pred e1 e2 =
+  e1 == e2
+  ||
   match e1, e2 with
   | Entry a, Entry b -> String.equal a.scheme b.scheme && String.equal a.alias b.alias
   | External a, External b -> String.equal a.name b.name && String.equal a.alias b.alias
-  | Select (p1, a), Select (p2, b) -> Pred.equal p1 p2 && equal a b
+  | Select (p1, a), Select (p2, b) -> pred p1 p2 && same pred a b
   | Project (attrs1, a), Project (attrs2, b) ->
-    List.equal String.equal attrs1 attrs2 && equal a b
+    List.equal String.equal attrs1 attrs2 && same pred a b
   | Join (k1, a1, a2), Join (k2, b1, b2) ->
     List.equal
       (fun (l1, r1) (l2, r2) -> String.equal l1 l2 && String.equal r1 r2)
       k1 k2
-    && equal a1 b1 && equal a2 b2
-  | Unnest (a, x), Unnest (b, y) -> String.equal x y && equal a b
+    && same pred a1 b1 && same pred a2 b2
+  | Unnest (a, x), Unnest (b, y) -> String.equal x y && same pred a b
   | Follow f1, Follow f2 ->
     String.equal f1.link f2.link
     && String.equal f1.scheme f2.scheme
-    && String.equal f1.alias f2.alias && equal f1.src f2.src
+    && String.equal f1.alias f2.alias && same pred f1.src f2.src
   | Call c1, Call c2 ->
     String.equal c1.c_scheme c2.c_scheme
     && String.equal c1.c_alias c2.c_alias
@@ -142,9 +144,75 @@ let rec equal e1 e2 =
            | Arg_const x, Arg_const y | Arg_attr x, Arg_attr y -> String.equal x y
            | (Arg_const _ | Arg_attr _), _ -> false)
          c1.c_args c2.c_args
-    && Option.equal equal c1.c_src c2.c_src
+    && Option.equal (same pred) c1.c_src c2.c_src
   | ( Entry _ | External _ | Select _ | Project _ | Join _ | Unnest _ | Follow _
     | Call _ ), _ -> false
+
+(* Structural equality, with predicates compared up to
+   [Pred.normalize]: plans whose selections differ only in atom order
+   are equal. *)
+let equal = same Pred.equal
+
+(* ------------------------------------------------------------------ *)
+(* Plan identity                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Exact structural identity: the same tree with the same atoms in the
+   same order. Two plans are identical exactly when [canonical] prints
+   them alike (the printer is a function of the tree, and no two trees
+   the planner builds print the same). *)
+let identical = same (List.equal Pred.atom_equal)
+
+(* A hash consistent with [identical] that reads the whole tree
+   ([Hashtbl.hash] stops after a few nodes, and plans of one query
+   share their top). *)
+let structural_hash e =
+  let mix acc h = ((acc * 31) + h) land max_int in
+  let str acc s = mix acc (Hashtbl.hash s) in
+  let operand acc = function
+    | Pred.Attr a -> str (mix acc 1) a
+    | Pred.Const v -> mix (mix acc 2) (Adm.Value.hash v)
+  in
+  let rec go acc = function
+    | Entry { scheme; alias } -> str (str (mix acc 3) scheme) alias
+    | External { name; alias } -> str (str (mix acc 5) name) alias
+    | Select (p, e) ->
+      go
+        (List.fold_left
+           (fun acc (a : Pred.atom) ->
+             operand (mix (operand acc a.Pred.left) (Hashtbl.hash a.Pred.cmp)) a.Pred.right)
+           (mix acc 7) p)
+        e
+    | Project (attrs, e) -> go (List.fold_left str (mix acc 11) attrs) e
+    | Join (keys, e1, e2) ->
+      go (go (List.fold_left (fun acc (a, b) -> str (str acc a) b) (mix acc 13) keys) e1) e2
+    | Unnest (e, a) -> go (str (mix acc 17) a) e
+    | Follow { src; link; scheme; alias } ->
+      go (str (str (str (mix acc 19) link) scheme) alias) src
+    | Call { c_src; c_scheme; c_alias; c_args } ->
+      let acc =
+        List.fold_left
+          (fun acc (p, a) ->
+            match a with
+            | Arg_const c -> str (str (mix acc 1) p) c
+            | Arg_attr x -> str (str (mix acc 2) p) x)
+          (str (str (mix acc 23) c_scheme) c_alias)
+          c_args
+      in
+      (match c_src with None -> acc | Some src -> go (mix acc 29) src)
+  in
+  go 17 e
+
+type key = { plan : expr; hash : int }
+
+let key e = { plan = e; hash = structural_hash e }
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal k1 k2 = k1.hash = k2.hash && identical k1.plan k2.plan
+  let hash k = k.hash
+end)
 
 (* Aliases in scope: alias -> page-scheme name. External occurrences
    are reported with their relation name. *)
@@ -176,18 +244,22 @@ let is_computable e = externals e = []
 
 (* Split an attribute name into its alias and the remaining dotted
    steps, given the aliases in scope. Aliases may themselves contain
-   no dots, but we match by longest prefix for safety. *)
+   no dots, but we match by longest prefix for safety: the prefixes
+   ending at each dot are tried from the rightmost dot leftwards. *)
 let split_attr known_aliases attr =
-  let parts = String.split_on_char '.' attr in
-  let rec try_prefix k =
-    if k = 0 then None
-    else
-      let prefix = String.concat "." (List.filteri (fun i _ -> i < k) parts) in
+  let rec try_dot i =
+    match String.rindex_from_opt attr i '.' with
+    | None -> None
+    | Some j ->
+      let prefix = String.sub attr 0 j in
       if List.mem prefix known_aliases then
-        Some (prefix, List.filteri (fun i _ -> i >= k) parts)
-      else try_prefix (k - 1)
+        Some
+          ( prefix,
+            String.split_on_char '.' (String.sub attr (j + 1) (String.length attr - j - 1)) )
+      else if j = 0 then None
+      else try_dot (j - 1)
   in
-  try_prefix (List.length parts - 1)
+  if String.length attr = 0 then None else try_dot (String.length attr - 1)
 
 (* The dotted constraint path (scheme + steps) an attribute denotes,
    resolving its alias against the expression's environment. *)
@@ -397,7 +469,8 @@ let rec pp ppf = function
 
 let to_string e = Fmt.str "%a" pp e
 
-(* Canonical form for deduplication during plan enumeration. *)
+(* Printed canonical form; plan identity ([key]) decides the same
+   equalities without printing. *)
 let canonical e = to_string e
 
 (* Indented query-plan tree, in the style of the paper's Figures 2–4

@@ -77,7 +77,25 @@ val map : (expr -> expr) -> expr -> expr
 val size : expr -> int
 
 val equal : expr -> expr -> bool
-(** Structural equality: same tree, predicates compared atom-by-atom. *)
+(** Structural equality: same tree, predicates compared up to
+    {!Pred.normalize} (atom order does not matter). *)
+
+(** {1 Plan identity} *)
+
+val identical : expr -> expr -> bool
+(** Exact structural identity: same tree, same atoms in the same
+    order. Two plans are identical exactly when {!canonical} prints
+    them alike; the planner's identity for deduplication and memos. *)
+
+type key = private { plan : expr; hash : int }
+(** A plan with a hash of its whole tree (consistent with
+    {!identical}), computed once by {!key} and carried with the plan
+    through every table that deduplicates or memoizes plans. *)
+
+val key : expr -> key
+
+module Key_tbl : Hashtbl.S with type key = key
+(** Tables keyed by plan identity ({!identical}). *)
 
 val alias_env : expr -> (string * string) list
 (** Aliases in scope, as [(alias, page-scheme name)]. *)
@@ -121,7 +139,8 @@ val pp_args : (string * arg) list Fmt.t
 val pp : expr Fmt.t
 val to_string : expr -> string
 val canonical : expr -> string
-(** Canonical form used for plan deduplication. *)
+(** Printed canonical form. Plans print alike exactly when they are
+    {!identical}; deduplication uses {!key}, which does not print. *)
 
 val pp_plan : expr Fmt.t
 (** Indented query-plan tree in the style of the paper's Figures 2–4. *)

@@ -67,38 +67,48 @@ let rename_output (o : outcome) rel =
     Adm.Relation.of_arrays o.select (Adm.Relation.rows_arrays rel)
   else rel
 
-(* Closure of a set of expressions under one-step rewritings, with
-   deduplication by canonical form and a safety cap. Returns the
-   plans plus whether the cap truncated the exploration (work left in
-   the queue when the loop stopped). [on_rewrite] fires on every rule
-   application, before deduplication — the planner hooks the
-   rewrite-soundness check here. *)
+(* Closure of a set of plans under one-step rewritings, with
+   deduplication by plan identity and a safety cap. Every plan is keyed
+   once ({!Nalg.key}) as it is produced, and the key travels with it:
+   into [seen], to [on_rewrite], and out to the caller. Returns the
+   plans plus how the cap bounded the exploration: [`Complete] when the
+   queue drained, [`Truncated] when work was left queued, and
+   [`Unexplored n] when the [n] distinct seeds alone already filled the
+   cap, so the loop never ran and no rule was applied. [on_rewrite]
+   fires on every rule application, before deduplication — the planner
+   hooks the rewrite-soundness check here. *)
 let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ())
-    (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.expr list) =
-  let seen = Hashtbl.create 64 in
+    (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.key list) =
+  let seen = Nalg.Key_tbl.create 64 in
   let out = ref [] in
   let queue = Queue.create () in
-  let add e =
-    let k = Nalg.canonical e in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
-      out := e :: !out;
-      Queue.add e queue
+  let add k =
+    if not (Nalg.Key_tbl.mem seen k) then begin
+      Nalg.Key_tbl.replace seen k ();
+      out := k :: !out;
+      Queue.add k queue
     end
   in
   List.iter add seeds;
-  while (not (Queue.is_empty queue)) && Hashtbl.length seen < cap do
-    let e = Queue.pop queue in
+  let n_seeds = Nalg.Key_tbl.length seen in
+  while (not (Queue.is_empty queue)) && Nalg.Key_tbl.length seen < cap do
+    let k = Queue.pop queue in
     List.iter
       (fun rule ->
         List.iter
           (fun e' ->
-            on_rewrite ~parent:e ~child:e';
-            add e')
-          (rule e))
+            let k' = Nalg.key e' in
+            on_rewrite ~parent:k ~child:k';
+            add k')
+          (rule k.Nalg.plan))
       rules
   done;
-  (List.rev !out, not (Queue.is_empty queue))
+  let bound =
+    if Queue.is_empty queue then `Complete
+    else if n_seeds >= cap then `Unexplored n_seeds
+    else `Truncated
+  in
+  (List.rev !out, bound)
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round). *)
 let fixpoint ?(max_rounds = 50) (rule : Nalg.expr -> Nalg.expr list) e =
@@ -176,38 +186,46 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     match views with None -> None | Some vc -> vc.vc_env name
   in
   (* Rewrite soundness (E0402/E0403), with type inference memoized by
-     canonical form — each distinct plan of the closure is inferred
+     plan identity — each distinct plan of the closure is inferred
      once — and at most one report per offending child plan. *)
-  let inferred = Hashtbl.create 256 in
-  let infer_cached e =
-    let k = Nalg.canonical e in
-    match Hashtbl.find_opt inferred k with
+  let inferred = Nalg.Key_tbl.create 256 in
+  let infer_cached k =
+    match Nalg.Key_tbl.find_opt inferred k with
     | Some r -> r
     | None ->
-      let r = Typecheck.infer ~views:tc_views schema e in
-      Hashtbl.add inferred k r;
+      let r = Typecheck.infer ~views:tc_views schema k.Nalg.plan in
+      Nalg.Key_tbl.add inferred k r;
       r
   in
-  let judged = Hashtbl.create 256 in
+  let judged = Nalg.Key_tbl.create 256 in
   let on_rewrite ~parent ~child =
-    let k = Nalg.canonical child in
-    if not (Hashtbl.mem judged k) then begin
-      Hashtbl.add judged k ();
+    if not (Nalg.Key_tbl.mem judged child) then begin
+      Nalg.Key_tbl.add judged child ();
       List.iter diag
         (Typecheck.judge ~parent:(infer_cached parent)
            ~child:(infer_cached child))
     end
   in
-  let closure_phase ~phase ~cap rules seeds =
-    let plans, capped = closure ~cap ~on_rewrite rules seeds in
-    if capped then
+  let closure_phase ~phase ~rules_named ~cap rules seeds =
+    let plans, bound = closure ~cap ~on_rewrite rules seeds in
+    (match bound with
+    | `Complete -> ()
+    | `Truncated ->
       diag
         (Diagnostic.warning ~code:"W0401"
            "plan-space cap %d hit during the %s phase; enumeration truncated \
             (raise --cap to explore further)"
-           cap phase);
+           cap phase)
+    | `Unexplored n_seeds ->
+      diag
+        (Diagnostic.warning ~code:"W0401"
+           "plan-space cap %d hit during the %s phase: its %d seed plans \
+            already fill the cap, so the phase never applied %s (raise \
+            --cap to explore further)"
+           cap phase n_seeds rules_named));
     plans
   in
+  let rekey f k = Nalg.key (f k.Nalg.plan) in
   (* Semantic minimization first (Contain): fold FROM occurrences
      equated on declared keys (bag-sound), normalize the WHERE
      conjunction, report provable emptiness. The minimized query has
@@ -255,7 +273,9 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       |> List.filter (fun e -> Nalg.externals e <> [])
   in
   (* Step 3: rule 4 to fixpoint on each expansion (cheap first pass) *)
-  let merged = List.map (fixpoint (Rewrite.rule4 schema)) expanded in
+  let merged =
+    List.map (fun e -> Nalg.key (fixpoint (Rewrite.rule4 schema) e)) expanded
+  in
   (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2);
      reordering exposes repeated / joinable navigations that the
      left-deep FROM-order tree hides *)
@@ -270,14 +290,21 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       [ Rewrite.rule8 schema; Rewrite.rule9 schema; Rewrite.rule2 schema ]
     else []
   in
-  let with_joins = closure_phase ~phase:"join" ~cap:join_cap join_rules merged in
+  let with_joins =
+    closure_phase ~phase:"join"
+      ~rules_named:
+        (if pointer_rules then "join reordering or rules 2, 4, 8, 9"
+         else "join reordering or rule 4")
+      ~cap:join_cap
+      join_rules merged
+  in
   (* Step 5: closure under rule 6, then sink selections *)
   let with_selections =
     (if constraint_selections then
-       closure_phase ~phase:"selection" ~cap:other_cap
+       closure_phase ~phase:"selection" ~rules_named:"rule 6" ~cap:other_cap
          [ Rewrite.rule6 schema ] with_joins
      else with_joins)
-    |> List.map (Rewrite.sink_selections schema)
+    |> List.map (rekey (Rewrite.sink_selections schema))
   in
   (* Steps 6/7: move projected attributes to the source side of link
      constraints (rule 7), then prune unneeded unnests and navigations
@@ -285,10 +312,10 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      values *)
   let with_projections =
     (if constraint_selections then
-       closure_phase ~phase:"projection" ~cap:other_cap
+       closure_phase ~phase:"projection" ~rules_named:"rule 7" ~cap:other_cap
          [ Rewrite.rule7_replace schema ] with_selections
      else with_selections)
-    |> List.map (Rewrite.prune schema)
+    |> List.map (rekey (Rewrite.prune schema))
   in
   (* Step 2'': binding-pattern access paths — on sites whose data sits
      behind parameterized forms, an equivalent-rewriting search over
@@ -301,34 +328,35 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let binding_plans =
     match bindings with None -> [] | Some f -> f q_plan
   in
-  let pruned = with_projections @ view_plans @ binding_plans in
+  let pruned =
+    with_projections @ List.map Nalg.key (view_plans @ binding_plans)
+  in
   (* dedup once more; typecheck gate; estimate; sort. Computability is
      relaxed to access paths: a plan may keep External leaves when
      every one names a view the economics snapshot prices (the
      executor answers those from the store). *)
-  let seen = Hashtbl.create 64 in
+  let seen = Nalg.Key_tbl.create 64 in
   let costed =
     List.filter
-      (fun e ->
-        let k = Nalg.canonical e in
-        if Hashtbl.mem seen k then false
+      (fun k ->
+        if Nalg.Key_tbl.mem seen k then false
         else begin
-          Hashtbl.replace seen k ();
+          Nalg.Key_tbl.replace seen k ();
           true
         end)
       pruned
-    |> List.filter (fun e ->
-           List.for_all (fun (name, _) -> known name) (Nalg.externals e))
-    |> List.filter (fun e ->
-           let _, ds = infer_cached e in
+    |> List.filter (fun k ->
+           List.for_all (fun (name, _) -> known name) (Nalg.externals k.Nalg.plan))
+    |> List.filter (fun k ->
+           let _, ds = infer_cached k in
            if Diagnostic.has_errors ds then begin
              diag
                (Diagnostic.error ~code:"E0404"
-                  "rejected ill-typed candidate plan %s" (Nalg.to_string e));
+                  "rejected ill-typed candidate plan %s" (Nalg.to_string k.Nalg.plan));
              false
            end
            else true)
-    |> List.map (fun e ->
+    |> List.map (fun { Nalg.plan = e; _ } ->
            let est = Cost.estimate ~views:econ schema stats e e in
            { expr = e; cost = est.Cost.cost; card = est.Cost.card })
     |> List.sort (fun p1 p2 -> Float.compare p1.cost p2.cost)

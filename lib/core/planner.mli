@@ -58,13 +58,16 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
 
 val closure :
   ?cap:int ->
-  ?on_rewrite:(parent:Nalg.expr -> child:Nalg.expr -> unit) ->
+  ?on_rewrite:(parent:Nalg.key -> child:Nalg.key -> unit) ->
   (Nalg.expr -> Nalg.expr list) list ->
-  Nalg.expr list ->
-  Nalg.expr list * bool
+  Nalg.key list ->
+  Nalg.key list * [ `Complete | `Truncated | `Unexplored of int ]
 (** Closure of a seed set under one-step rewritings, deduplicated by
-    canonical form, with a safety cap. The boolean is [true] when the
-    cap truncated the exploration (work was still queued).
+    plan identity ({!Nalg.identical}), with a safety cap. Each plan is
+    keyed once, when it is produced. The second component says how the
+    cap bounded the exploration: [`Complete] (the queue drained),
+    [`Truncated] (work was still queued), or [`Unexplored n] (the [n]
+    distinct seeds already filled the cap, so no rule was applied).
     [on_rewrite] fires on every rule application, before
     deduplication. *)
 
@@ -87,7 +90,9 @@ val enumerate :
     [W0602] findings land in the outcome diagnostics; the original
     SELECT names are kept for {!rename_output}). [cap] overrides the
     per-phase plan-space caps (join 1500, selection / projection 400);
-    hitting a cap is reported as a [W0401] diagnostic in the outcome.
+    hitting a cap is reported as a [W0401] diagnostic in the outcome,
+    which says when the phase's seeds alone filled the cap so its rules
+    were never applied.
     Every rewrite step is checked by {!Typecheck.judge}; ill-typed
     candidates are rejected before costing, and plans equivalent under
     {!Contain.plan_key} are deduplicated after the cost sort

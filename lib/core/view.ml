@@ -222,7 +222,10 @@ let infer_navigations (schema : Adm.Schema.t) ~scheme : Nalg.expr list =
       | [] -> None
       | nav :: _ -> Some nav)
     maximal
-  |> List.sort_uniq (fun e1 e2 -> String.compare (Nalg.canonical e1) (Nalg.canonical e2))
+  (* sort and dedup by canonical form, printing each plan once *)
+  |> List.map (fun e -> (Nalg.canonical e, e))
+  |> List.sort_uniq (fun (k1, _) (k2, _) -> String.compare k1 k2)
+  |> List.map snd
 
 (* An automatic relational view over a whole web scheme: one external
    relation per page-scheme carrying its mono-valued attributes, with

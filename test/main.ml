@@ -26,4 +26,5 @@ let () =
       Test_server.suite;
       Test_churn.suite;
       Test_bindings.suite;
+      Test_plan_identity.suite;
     ]
