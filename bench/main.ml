@@ -7,6 +7,14 @@
    Default: all experiments followed by timings. *)
 
 open Webviews
+module J = Json_emit
+
+(* Write a BENCH_*.json artifact into the current directory. *)
+let write_json file v =
+  let oc = open_out file in
+  output_string oc (J.pretty v);
+  output_char oc '\n';
+  close_out oc
 
 let banner title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
@@ -690,20 +698,18 @@ let kernel () =
   Fmt.pr "%-30s %15s@." "benchmark" "ns/run";
   List.iter (fun (name, ns) -> Fmt.pr "%-30s %15.0f@." name ns) rows;
   (* machine-readable trace for the perf trajectory *)
-  let oc = open_out "BENCH_kernel.json" in
   let strip name =
     match String.index_opt name ' ' with
     | Some i -> String.sub name (i + 1) (String.length name - i - 1)
     | None -> name
   in
-  Printf.fprintf oc "{\n  \"suite\": \"kernel\",\n  \"unit\": \"ns_per_run\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "    { \"name\": %S, \"ns_per_run\": %.1f }%s\n" (strip name) ns
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let entry (name, ns) =
+    J.Obj [ "name", J.String (strip name); "ns_per_run", J.Fixed (1, ns) ]
+  in
+  write_json "BENCH_kernel.json"
+    (J.Obj
+       [ "suite", J.String "kernel"; "unit", J.String "ns_per_run";
+         "results", J.List (List.map entry rows) ]);
   Fmt.pr "@.wrote BENCH_kernel.json (%d entries)@." (List.length rows)
 
 (* ------------------------------------------------------------------ *)
@@ -781,22 +787,19 @@ let fetch () =
     elapsed "pointer-join" "latency-w1" /. elapsed "pointer-join" "latency-w8"
   in
   Fmt.pr "@.pointer-join window speedup (w1 / w8): %.1fx@." speedup;
-  let oc = open_out "BENCH_fetch.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"fetch\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (plan_name, scenario, window, fault_rate, (r : Eval.fetch_report), exact) ->
-      Printf.fprintf oc
-        "    { \"plan\": %S, \"scenario\": %S, \"window\": %d, \"fault_rate\": %.2f, \
-         \"gets\": %d, \"attempts\": %d, \"retries\": %d, \"rows\": %d, \
-         \"exact\": %b, \"elapsed_ms\": %.1f }%s\n"
-        plan_name scenario window fault_rate r.Eval.fetch.Websim.Fetcher.gets
-        r.Eval.fetch.Websim.Fetcher.attempts r.Eval.fetch.Websim.Fetcher.retries
-        (Adm.Relation.cardinality r.Eval.result)
-        exact r.Eval.fetch.Websim.Fetcher.elapsed_ms
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ],\n  \"join_speedup_w1_over_w8\": %.2f\n}\n" speedup;
-  close_out oc;
+  let record (plan_name, scenario, window, fault_rate, (r : Eval.fetch_report), exact) =
+    let f = r.Eval.fetch in
+    J.Obj
+      [ "plan", J.String plan_name; "scenario", J.String scenario; "window", J.Int window;
+        "fault_rate", J.Fixed (2, fault_rate); "gets", J.Int f.Websim.Fetcher.gets;
+        "attempts", J.Int f.Websim.Fetcher.attempts; "retries", J.Int f.Websim.Fetcher.retries;
+        "rows", J.Int (Adm.Relation.cardinality r.Eval.result); "exact", J.Bool exact;
+        "elapsed_ms", J.Fixed (1, f.Websim.Fetcher.elapsed_ms) ]
+  in
+  write_json "BENCH_fetch.json"
+    (J.Obj
+       [ "suite", J.String "fetch"; "results", J.List (List.map record records);
+         "join_speedup_w1_over_w8", J.Fixed (2, speedup) ]);
   Fmt.pr "@.wrote BENCH_fetch.json (%d entries)@." (List.length records)
 
 (* ------------------------------------------------------------------ *)
@@ -913,26 +916,27 @@ let exec_bench () =
   in
   Fmt.pr "@.pointer-chase with LIMIT 1: %d page accesses vs %d for the full answer@."
     limit1_gets full_gets;
-  let oc = open_out "BENCH_exec.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"exec\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (name, _, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical) ->
-      Printf.fprintf oc
-        "    { \"plan\": %S, \"window\": %d, \"identical\": %b,\n\
-        \      \"streaming\": { \"gets\": %d, \"elapsed_ms\": %.1f, \
-         \"peak_resident_rows\": %d, \"state_rows\": %d, \"max_batch_rows\": %d },\n\
-        \      \"materializing\": { \"gets\": %d, \"elapsed_ms\": %.1f, \
-         \"peak_resident_rows\": %d } }%s\n"
-        name window identical s_gets s_elapsed
-        (Exec.peak_resident_rows m)
-        m.Exec.state_rows m.Exec.max_batch_rows m_gets m_elapsed m_peak
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc
-    "  ],\n  \"limit1\": { \"plan\": \"pointer-chase\", \"full_gets\": %d, \
-     \"limit1_gets\": %d, \"limit1_rows\": %d }\n}\n"
-    full_gets limit1_gets limit1_rows;
-  close_out oc;
+  let record (name, _, m, s_gets, s_elapsed, m_gets, m_elapsed, m_peak, identical) =
+    J.Obj
+      [ "plan", J.String name; "window", J.Int window; "identical", J.Bool identical;
+        "streaming",
+        J.Obj
+          [ "gets", J.Int s_gets; "elapsed_ms", J.Fixed (1, s_elapsed);
+            "peak_resident_rows", J.Int (Exec.peak_resident_rows m);
+            "state_rows", J.Int m.Exec.state_rows;
+            "max_batch_rows", J.Int m.Exec.max_batch_rows ];
+        "materializing",
+        J.Obj
+          [ "gets", J.Int m_gets; "elapsed_ms", J.Fixed (1, m_elapsed);
+            "peak_resident_rows", J.Int m_peak ] ]
+  in
+  write_json "BENCH_exec.json"
+    (J.Obj
+       [ "suite", J.String "exec"; "results", J.List (List.map record records);
+         "limit1",
+         J.Obj
+           [ "plan", J.String "pointer-chase"; "full_gets", J.Int full_gets;
+             "limit1_gets", J.Int limit1_gets; "limit1_rows", J.Int limit1_rows ] ]);
   Fmt.pr "@.wrote BENCH_exec.json (%d plans)@." (List.length records)
 
 (* ------------------------------------------------------------------ *)
@@ -1184,67 +1188,56 @@ let server_bench () =
   | Some (_, _, speedup, _, _) when speedup < 2.0 ->
     Fmt.pr "@.WARNING: speedup at 4 domains is %.2fx (< 2x)@." speedup
   | _ -> ());
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"server\",\n  \"results\": [\n";
-  List.iteri
-    (fun i (size, iso_gets, iso_elapsed, (rep : Server.Sched.report), identical, complete) ->
-      let l = rep.Server.Sched.ledger in
-      Printf.fprintf oc
-        "    { \"queries\": %d, \"gets_isolated\": %d, \"gets_shared\": %d, \
-         \"coalescing_ratio\": %.3f,\n\
-        \      \"distinct_urls\": %d, \"sum_per_query_urls\": %d, \
-         \"cross_query_hits\": %d,\n\
-        \      \"makespan_isolated_ms\": %.1f, \"makespan_ms\": %.1f, \
-         \"p50_ms\": %.1f, \"p95_ms\": %.1f,\n\
-        \      \"peak_resident_queries\": %d, \"peak_resident_rows\": %d, \
-         \"identical\": %b, \"complete\": %b }%s\n"
-        size iso_gets rep.Server.Sched.fetch.Websim.Fetcher.gets
-        (float_of_int rep.Server.Sched.fetch.Websim.Fetcher.gets
-        /. float_of_int iso_gets)
-        l.Server.Shared_cache.distinct_gets l.Server.Shared_cache.sum_per_query
-        l.Server.Shared_cache.cross_query_hits iso_elapsed
-        rep.Server.Sched.makespan_ms rep.Server.Sched.p50_ms
-        rep.Server.Sched.p95_ms rep.Server.Sched.peak_resident_queries
-        rep.Server.Sched.peak_resident_rows identical complete
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"deadline_scenario\": { \"queries\": 8, \"deadline_ms\": 300.0, \
-     \"fault_rate\": 0.10, \"retries\": 3,\n\
-    \    \"deadline_partials\": %d, \"errors\": %d, \"wire_retries\": %d },\n"
-    partials errors drep.Server.Sched.fetch.Websim.Fetcher.retries;
-  Printf.fprintf oc
-    "  \"domain_sweep\": {\n\
-    \    \"site_pages\": %d, \"queries\": %d, \"concurrency\": 32, \
-     \"quantum\": 4, \"net_seed\": %d,\n\
-    \    \"points\": [\n"
-    scale_pages n_queries net_seed;
+  let result (size, iso_gets, iso_elapsed, (rep : Server.Sched.report), identical, complete) =
+    let l = rep.Server.Sched.ledger in
+    let gets = rep.Server.Sched.fetch.Websim.Fetcher.gets in
+    J.Obj
+      [ "queries", J.Int size; "gets_isolated", J.Int iso_gets; "gets_shared", J.Int gets;
+        "coalescing_ratio", J.Fixed (3, float_of_int gets /. float_of_int iso_gets);
+        "distinct_urls", J.Int l.Server.Shared_cache.distinct_gets;
+        "sum_per_query_urls", J.Int l.Server.Shared_cache.sum_per_query;
+        "cross_query_hits", J.Int l.Server.Shared_cache.cross_query_hits;
+        "makespan_isolated_ms", J.Fixed (1, iso_elapsed);
+        "makespan_ms", J.Fixed (1, rep.Server.Sched.makespan_ms);
+        "p50_ms", J.Fixed (1, rep.Server.Sched.p50_ms);
+        "p95_ms", J.Fixed (1, rep.Server.Sched.p95_ms);
+        "peak_resident_queries", J.Int rep.Server.Sched.peak_resident_queries;
+        "peak_resident_rows", J.Int rep.Server.Sched.peak_resident_rows;
+        "identical", J.Bool identical; "complete", J.Bool complete ]
+  in
+  let point (d, identical, speedup, (c : Server.Shared_cache.contention),
+             (rep : Server.Sched.report)) =
+    let ms x = J.Fixed (1, x) in
+    let l = rep.Server.Sched.ledger in
+    J.Obj
+      [ "domains", J.Int d; "makespan_ms", ms rep.Server.Sched.makespan_ms;
+        "speedup", J.Fixed (3, speedup); "identical", J.Bool identical;
+        "p50_ms", ms rep.Server.Sched.p50_ms; "p95_ms", ms rep.Server.Sched.p95_ms;
+        "p50_service_ms", ms rep.Server.Sched.p50_service_ms;
+        "p95_service_ms", ms rep.Server.Sched.p95_service_ms;
+        "p50_wait_ms", ms rep.Server.Sched.p50_wait_ms;
+        "p95_wait_ms", ms rep.Server.Sched.p95_wait_ms;
+        "distinct_gets", J.Int l.Server.Shared_cache.distinct_gets;
+        "cross_query_hits", J.Int l.Server.Shared_cache.cross_query_hits;
+        "tuples_cached", J.Int c.Server.Shared_cache.tuples_cached;
+        "lock_acquisitions", J.Int c.Server.Shared_cache.lock_acquisitions;
+        "lock_contested", J.Int c.Server.Shared_cache.lock_contested ]
+  in
   let n_points = List.length sweep_rows in
-  List.iteri
-    (fun i (d, identical, speedup, (c : Server.Shared_cache.contention),
-            (rep : Server.Sched.report)) ->
-      Printf.fprintf oc
-        "      { \"domains\": %d, \"makespan_ms\": %.1f, \"speedup\": %.3f, \
-         \"identical\": %b,\n\
-        \        \"p50_ms\": %.1f, \"p95_ms\": %.1f, \"p50_service_ms\": %.1f, \
-         \"p95_service_ms\": %.1f, \"p50_wait_ms\": %.1f, \"p95_wait_ms\": %.1f,\n\
-        \        \"distinct_gets\": %d, \"cross_query_hits\": %d, \
-         \"tuples_cached\": %d, \"lock_acquisitions\": %d, \
-         \"lock_contested\": %d }%s\n"
-        d rep.Server.Sched.makespan_ms speedup identical rep.Server.Sched.p50_ms
-        rep.Server.Sched.p95_ms rep.Server.Sched.p50_service_ms
-        rep.Server.Sched.p95_service_ms rep.Server.Sched.p50_wait_ms
-        rep.Server.Sched.p95_wait_ms
-        rep.Server.Sched.ledger.Server.Shared_cache.distinct_gets
-        rep.Server.Sched.ledger.Server.Shared_cache.cross_query_hits
-        c.Server.Shared_cache.tuples_cached
-        c.Server.Shared_cache.lock_acquisitions
-        c.Server.Shared_cache.lock_contested
-        (if i = n_points - 1 then "" else ","))
-    sweep_rows;
-  Printf.fprintf oc "    ]\n  }\n}\n";
-  close_out oc;
+  write_json "BENCH_server.json"
+    (J.Obj
+       [ "suite", J.String "server"; "results", J.List (List.map result records);
+         "deadline_scenario",
+         J.Obj
+           [ "queries", J.Int 8; "deadline_ms", J.Fixed (1, 300.0);
+             "fault_rate", J.Fixed (2, 0.10); "retries", J.Int 3;
+             "deadline_partials", J.Int partials; "errors", J.Int errors;
+             "wire_retries", J.Int drep.Server.Sched.fetch.Websim.Fetcher.retries ];
+         "domain_sweep",
+         J.Obj
+           [ "site_pages", J.Int scale_pages; "queries", J.Int n_queries;
+             "concurrency", J.Int 32; "quantum", J.Int 4; "net_seed", J.Int net_seed;
+             "points", J.List (List.map point sweep_rows) ] ]);
   Fmt.pr "@.wrote BENCH_server.json (%d workload sizes + %d-point domain sweep)@."
     (List.length records) n_points
 
@@ -1442,44 +1435,34 @@ let analyze_bench () =
            string_of_int minimized.Planner.merged ])
        sites);
   (* --- JSON ---------------------------------------------------------- *)
-  let oc = open_out "BENCH_analyze.json" in
-  Printf.fprintf oc "{\n  \"suite\": \"analyze\",\n  \"subsumption_scaling\": [\n";
-  List.iteri
-    (fun i (n, buckets, build_ms, probes, nc, nms, fc, fms, hits, agree) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"buckets\": %d, \"index_build_ms\": %.2f, \
-         \"probes\": %d,\n\
-        \      \"naive\": { \"checks\": %d, \"ms\": %.2f },\n\
-        \      \"filter_tree\": { \"checks\": %d, \"ms\": %.2f },\n\
-        \      \"subsumers_found\": %d, \"agree\": %b }%s\n"
-        n buckets build_ms probes nc nms fc fms hits agree
-        (if i = List.length scaling - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc "  ],\n  \"planning_scaling\": [\n";
-  List.iteri
-    (fun i (n, ams, pms, cands, merged) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"analyze_ms\": %.2f, \"plan_ms\": %.2f, \
-         \"candidates\": %d, \"merged\": %d }%s\n"
-        n ams pms cands merged
-        (if i = List.length planning - 1 then "" else ","))
-    planning;
-  Printf.fprintf oc "  ],\n  \"minimization\": [\n";
-  List.iteri
-    (fun i (name, (raw, minimized, raw_gets, min_gets)) ->
-      Printf.fprintf oc
-        "    { \"site\": %S, \"raw\": { \"candidates\": %d, \"gets\": %d },\n\
-        \      \"minimized\": { \"candidates\": %d, \"gets\": %d, \"merged\": \
-         %d } }%s\n"
-        name
-        (List.length raw.Planner.candidates)
-        raw_gets
-        (List.length minimized.Planner.candidates)
-        min_gets minimized.Planner.merged
-        (if i = List.length sites - 1 then "" else ","))
-    sites;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let checks n ms = J.Obj [ "checks", J.Int n; "ms", J.Fixed (2, ms) ] in
+  let subsumption (n, buckets, build_ms, probes, nc, nms, fc, fms, hits, agree) =
+    J.Obj
+      [ "views", J.Int n; "buckets", J.Int buckets; "index_build_ms", J.Fixed (2, build_ms);
+        "probes", J.Int probes; "naive", checks nc nms; "filter_tree", checks fc fms;
+        "subsumers_found", J.Int hits; "agree", J.Bool agree ]
+  in
+  let planning_point (n, ams, pms, cands, merged) =
+    J.Obj
+      [ "views", J.Int n; "analyze_ms", J.Fixed (2, ams); "plan_ms", J.Fixed (2, pms);
+        "candidates", J.Int cands; "merged", J.Int merged ]
+  in
+  let minimization (name, (raw, minimized, raw_gets, min_gets)) =
+    let candidates (o : Planner.outcome) = J.Int (List.length o.Planner.candidates) in
+    J.Obj
+      [ "site", J.String name;
+        "raw", J.Obj [ "candidates", candidates raw; "gets", J.Int raw_gets ];
+        "minimized",
+        J.Obj
+          [ "candidates", candidates minimized; "gets", J.Int min_gets;
+            "merged", J.Int minimized.Planner.merged ] ]
+  in
+  write_json "BENCH_analyze.json"
+    (J.Obj
+       [ "suite", J.String "analyze";
+         "subsumption_scaling", J.List (List.map subsumption scaling);
+         "planning_scaling", J.List (List.map planning_point planning);
+         "minimization", J.List (List.map minimization sites) ]);
   Fmt.pr "@.wrote BENCH_analyze.json (%d registry sizes, %d sites)@."
     (List.length scaling) (List.length sites)
 
@@ -1698,67 +1681,46 @@ let churn_bench () =
   Fmt.pr "@.determinism: repeat %s, domains 1 vs 4 %s@."
     (if repeat_identical then "identical" else "DIVERGED")
     (if domains_invariant then "identical" else "DIVERGED");
-  let oc = open_out "BENCH_churn.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"suite\": \"churn\",\n\
-    \  \"site_pages\": %d, \"queries\": %d, \"workload_seed\": %d, \
-     \"churn_seed\": %d,\n\
-    \  \"concurrency\": 4, \"quantum\": 1, \"max_age\": %d, \"head_cost\": 1.0, \
-     \"get_cost\": 10.0,\n\
-    \  \"grid\": [\n"
-    !site_pages n_queries wseed churn_seed max_age;
+  let grid_point (rate_name, rate, budget, policy, (r : Churn.Runtime.report)) =
+    let m = r.Churn.Runtime.maintenance and w = r.Churn.Runtime.wire in
+    J.Obj
+      [ "churn", J.String rate_name; "rate", J.Fixed (2, rate); "budget", J.Fixed (1, budget);
+        "policy", J.String (Churn.Runtime.policy_to_string policy);
+        "mean_staleness", J.Fixed (4, r.Churn.Runtime.mean_staleness);
+        "p95_staleness", J.Fixed (2, r.Churn.Runtime.p95_staleness);
+        "violations", J.Int r.Churn.Runtime.violations;
+        "verdicts", J.Obj (List.map (fun (v, n) -> (v, J.Int n)) r.Churn.Runtime.verdicts);
+        "maintenance_heads", J.Int m.Churn.Maintain.heads;
+        "maintenance_gets", J.Int m.Churn.Maintain.gets_refreshed;
+        "validated", J.Int m.Churn.Maintain.validated; "swept", J.Int m.Churn.Maintain.swept;
+        "purged", J.Int m.Churn.Maintain.purged; "denied", J.Int m.Churn.Maintain.denied;
+        "full_refreshes", J.Int r.Churn.Runtime.full_refreshes;
+        "budget_spent", J.Fixed (1, r.Churn.Runtime.budget_spent);
+        "wire_gets", J.Int w.Websim.Fetcher.gets; "wire_heads", J.Int w.Websim.Fetcher.heads;
+        "wire_bytes", J.Int w.Websim.Fetcher.bytes;
+        "mutations", J.Int r.Churn.Runtime.mutations_total;
+        "store_pages", J.Int r.Churn.Runtime.store_pages ]
+  in
+  let comparison (name, budget, inc, full, ok) =
+    J.Obj
+      [ "churn", J.String name; "budget", J.Fixed (1, budget);
+        "incremental_mean_staleness", J.Fixed (4, inc);
+        "full_refresh_mean_staleness", J.Fixed (4, full);
+        "incremental_strictly_lower", J.Bool ok ]
+  in
   let n_grid = List.length grid in
-  List.iteri
-    (fun i (rate_name, rate, budget, policy, (r : Churn.Runtime.report)) ->
-      let m = r.Churn.Runtime.maintenance in
-      Printf.fprintf oc
-        "    { \"churn\": \"%s\", \"rate\": %.2f, \"budget\": %.1f, \
-         \"policy\": \"%s\",\n\
-        \      \"mean_staleness\": %.4f, \"p95_staleness\": %.2f, \
-         \"violations\": %d,\n\
-        \      \"verdicts\": { %s },\n\
-        \      \"maintenance_heads\": %d, \"maintenance_gets\": %d, \
-         \"validated\": %d, \"swept\": %d, \"purged\": %d, \"denied\": %d,\n\
-        \      \"full_refreshes\": %d, \"budget_spent\": %.1f, \
-         \"wire_gets\": %d, \"wire_heads\": %d, \"wire_bytes\": %d,\n\
-        \      \"mutations\": %d, \"store_pages\": %d }%s\n"
-        rate_name rate budget
-        (Churn.Runtime.policy_to_string policy)
-        r.Churn.Runtime.mean_staleness r.Churn.Runtime.p95_staleness
-        r.Churn.Runtime.violations
-        (String.concat ", "
-           (List.map
-              (fun (v, n) -> Printf.sprintf "\"%s\": %d" v n)
-              r.Churn.Runtime.verdicts))
-        m.Churn.Maintain.heads m.Churn.Maintain.gets_refreshed
-        m.Churn.Maintain.validated m.Churn.Maintain.swept
-        m.Churn.Maintain.purged m.Churn.Maintain.denied
-        r.Churn.Runtime.full_refreshes r.Churn.Runtime.budget_spent
-        r.Churn.Runtime.wire.Websim.Fetcher.gets
-        r.Churn.Runtime.wire.Websim.Fetcher.heads
-        r.Churn.Runtime.wire.Websim.Fetcher.bytes
-        r.Churn.Runtime.mutations_total r.Churn.Runtime.store_pages
-        (if i = n_grid - 1 then "" else ","))
-    grid;
-  Printf.fprintf oc "  ],\n  \"incremental_vs_full_refresh\": [\n";
-  let n_acc = List.length acceptance in
-  List.iteri
-    (fun i (name, budget, inc, full, ok) ->
-      Printf.fprintf oc
-        "    { \"churn\": \"%s\", \"budget\": %.1f, \
-         \"incremental_mean_staleness\": %.4f, \
-         \"full_refresh_mean_staleness\": %.4f, \
-         \"incremental_strictly_lower\": %b }%s\n"
-        name budget inc full ok
-        (if i = n_acc - 1 then "" else ","))
-    acceptance;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"determinism\": { \"repeat_identical\": %b, \
-     \"domains_invariant\": %b }\n}\n"
-    repeat_identical domains_invariant;
-  close_out oc;
+  write_json "BENCH_churn.json"
+    (J.Obj
+       [ "suite", J.String "churn"; "site_pages", J.Int !site_pages;
+         "queries", J.Int n_queries; "workload_seed", J.Int wseed;
+         "churn_seed", J.Int churn_seed; "concurrency", J.Int 4; "quantum", J.Int 1;
+         "max_age", J.Int max_age; "head_cost", J.Fixed (1, 1.0);
+         "get_cost", J.Fixed (1, 10.0); "grid", J.List (List.map grid_point grid);
+         "incremental_vs_full_refresh", J.List (List.map comparison acceptance);
+         "determinism",
+         J.Obj
+           [ "repeat_identical", J.Bool repeat_identical;
+             "domains_invariant", J.Bool domains_invariant ] ]);
   Fmt.pr "@.wrote BENCH_churn.json (%d grid points)@." n_grid;
   if
     (not (List.for_all (fun (_, _, _, _, ok) -> ok) acceptance))
@@ -1971,34 +1933,25 @@ let views_bench () =
   let all_identical =
     List.for_all (fun (_, _, _, _, _, _, _, i) -> i) wire
   in
-  let oc = open_out "BENCH_views.json" in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"views\",\n  \"head_cost\": 1, \"get_cost\": 10,\n  \"wire\": [\n";
-  List.iteri
-    (fun i (name, sql, chosen, ng, nh, vg, vh, identical) ->
-      Printf.fprintf oc
-        "    { \"site\": %S, \"sql\": %S, \"view_chosen\": %b, \
-         \"identical\": %b,\n\
-        \      \"navigation\": { \"gets\": %d, \"heads\": %d, \"units\": %d },\n\
-        \      \"view\": { \"gets\": %d, \"heads\": %d, \"units\": %d } }%s\n"
-        name sql chosen identical ng nh (wire_units ng nh) vg vh
-        (wire_units vg vh)
-        (if i = List.length wire - 1 then "" else ","))
-    wire;
-  Printf.fprintf oc
-    "  ],\n  \"stale_view_rejected\": %b,\n  \"planning\": [\n" stale_rejected;
-  List.iteri
-    (fun i (n, t, tc, nc) ->
-      Printf.fprintf oc
-        "    { \"views\": %d, \"plan_ms\": %.2f, \"tree_checks\": %d, \
-         \"naive_checks\": %d }%s\n"
-        n t tc nc
-        (if i = List.length plan_scale - 1 then "" else ","))
-    plan_scale;
-  Printf.fprintf oc
-    "  ],\n  \"planning_ratio_500_over_10\": %.3f, \"within_2x\": %b\n}\n"
-    ratio within_2x;
-  close_out oc;
+  let wire_side gets heads =
+    J.Obj [ "gets", J.Int gets; "heads", J.Int heads; "units", J.Int (wire_units gets heads) ]
+  in
+  let wire_row (name, sql, chosen, ng, nh, vg, vh, identical) =
+    J.Obj
+      [ "site", J.String name; "sql", J.String sql; "view_chosen", J.Bool chosen;
+        "identical", J.Bool identical; "navigation", wire_side ng nh; "view", wire_side vg vh ]
+  in
+  let planning_point (n, t, tc, nc) =
+    J.Obj
+      [ "views", J.Int n; "plan_ms", J.Fixed (2, t); "tree_checks", J.Int tc;
+        "naive_checks", J.Int nc ]
+  in
+  write_json "BENCH_views.json"
+    (J.Obj
+       [ "suite", J.String "views"; "head_cost", J.Int 1; "get_cost", J.Int 10;
+         "wire", J.List (List.map wire_row wire); "stale_view_rejected", J.Bool stale_rejected;
+         "planning", J.List (List.map planning_point plan_scale);
+         "planning_ratio_500_over_10", J.Fixed (3, ratio); "within_2x", J.Bool within_2x ]);
   Fmt.pr "@.wrote BENCH_views.json (%d sites, %d registry sizes)@."
     (List.length wire) (List.length plan_scale);
   if not (wire_win && all_identical && stale_rejected && within_2x) then begin
@@ -2096,29 +2049,23 @@ let bindings_bench () =
   let found_all =
     List.for_all (fun (_, _, _, rw, tr) -> rw > 0 && not tr) scaling
   in
-  let oc = open_out "BENCH_bindings.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"query\": %S,\n\
-    \  \"search_scaling\": [\n%s\n  ],\n\
-    \  \"execution\": { \"plan_ms\": %.2f, \"gets\": %d, \"rows\": %d, \
-     \"identical\": %b },\n\
-    \  \"oracle\": { \"gets\": %d },\n\
-    \  \"acceptance\": { \"rewriting_at_every_size\": %b, \
-     \"identical_rows\": %b, \"fewer_gets_than_oracle\": %b }\n\
-     }\n"
-    sql
-    (String.concat ",\n"
-       (List.map
-          (fun (n, t, ex, rw, tr) ->
-            Printf.sprintf
-              "    { \"path_views\": %d, \"search_ms\": %.3f, \
-               \"states_explored\": %d, \"rewritings\": %d, \"truncated\": %b }"
-              n t ex rw tr)
-          scaling))
-    plan_ms gets (List.length rows) identical oracle found_all identical
-    (gets < oracle);
-  close_out oc;
+  let search_point (n, t, ex, rw, tr) =
+    J.Obj
+      [ "path_views", J.Int n; "search_ms", J.Fixed (3, t); "states_explored", J.Int ex;
+        "rewritings", J.Int rw; "truncated", J.Bool tr ]
+  in
+  write_json "BENCH_bindings.json"
+    (J.Obj
+       [ "query", J.String sql; "search_scaling", J.List (List.map search_point scaling);
+         "execution",
+         J.Obj
+           [ "plan_ms", J.Fixed (2, plan_ms); "gets", J.Int gets;
+             "rows", J.Int (List.length rows); "identical", J.Bool identical ];
+         "oracle", J.Obj [ "gets", J.Int oracle ];
+         "acceptance",
+         J.Obj
+           [ "rewriting_at_every_size", J.Bool found_all; "identical_rows", J.Bool identical;
+             "fewer_gets_than_oracle", J.Bool (gets < oracle) ] ]);
   Fmt.pr "@.wrote BENCH_bindings.json (%d registry sizes)@."
     (List.length scaling);
   if not (found_all && identical && gets < oracle) then begin

@@ -276,25 +276,22 @@ let explain_cmd =
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Explain.pp_outcome outcome;
     if physical then begin
-      match Cost.lower ?views:econ ~window loaded.schema stats best with
-      | plan ->
-        List.iter
-          (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
-          (Typecheck.check_plan loaded.schema ~parent:best plan);
-        (* execute over the live site so the tree shows estimated vs
-           actual rows and page accesses side by side *)
-        let http = Websim.Http.connect loaded.site in
-        let config = Websim.Fetcher.config ~window () in
-        let fetcher = Websim.Fetcher.create ~config http in
-        let source = Eval.fetcher_source loaded.schema fetcher in
-        let _result, metrics =
-          Exec.run_metrics
-            ?views:(Option.map Viewstore.answerer vs)
-            loaded.schema source plan
-        in
-        Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
-      | exception Physplan.Not_streamable msg ->
-        Fmt.pr "no streaming physical form (%s); the legacy evaluator would run@." msg
+      let plan = Cost.lower ?views:econ ~window loaded.schema stats best in
+      List.iter
+        (fun d -> Fmt.pr "%a@." Diagnostic.pp d)
+        (Physplan.check loaded.schema ~parent:best plan);
+      (* execute over the live site so the tree shows estimated vs
+         actual rows and page accesses side by side *)
+      let http = Websim.Http.connect loaded.site in
+      let config = Websim.Fetcher.config ~window () in
+      let fetcher = Websim.Fetcher.create ~config http in
+      let source = Eval.fetcher_source loaded.schema fetcher in
+      let _result, metrics =
+        Exec.run_metrics
+          ?views:(Option.map Viewstore.answerer vs)
+          loaded.schema source plan
+      in
+      Fmt.pr "%a@." (Explain.pp_physical ~metrics ()) plan
     end
     else Fmt.pr "%a@." (Explain.pp_annotated ?views:econ loaded.schema stats) best
   in
@@ -586,25 +583,13 @@ let check_cmd =
 (* analyze: the semantic analyzer as a first-class subcommand          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Json_emit
 
 let json_of_diag (d : Diagnostic.t) =
-  Fmt.str "{\"code\":\"%s\",\"severity\":\"%a\",\"message\":\"%s\"}"
-    (json_escape d.Diagnostic.code) Diagnostic.pp_severity d.Diagnostic.severity
-    (json_escape d.Diagnostic.message)
+  J.Obj
+    [ "code", J.String d.Diagnostic.code;
+      "severity", J.String (Fmt.str "%a" Diagnostic.pp_severity d.Diagnostic.severity);
+      "message", J.String d.Diagnostic.message ]
 
 let analyze_cmd =
   let run cap strict format use_views sqls loaded =
@@ -663,49 +648,43 @@ let analyze_cmd =
       @ List.concat_map (fun (_, _, _, ds, _) -> ds) reports
     in
     if json then begin
+      let diags ds = J.List (List.map json_of_diag ds) in
       let query_json (sql, _, min_info, ds, planned) =
         let minimized =
           match min_info with
-          | None -> ""
+          | None -> []
           | Some (q_min, before, after) ->
-            Fmt.str ",\"minimized\":\"%s\",\"sources_before\":%d,\"sources_after\":%d"
-              (json_escape (Fmt.str "%a" Conjunctive.pp q_min))
-              before after
+            [ "minimized", J.String (Fmt.str "%a" Conjunctive.pp q_min);
+              "sources_before", J.Int before; "sources_after", J.Int after ]
+        in
+        let substitution (s : Planner.substitution) =
+          J.Obj
+            [ "view", J.String s.Planner.sub_view; "occurrence", J.String s.Planner.sub_alias;
+              "residual", J.String (Pred.to_string s.Planner.sub_residual);
+              "heads", J.Fixed (1, s.Planner.sub_heads);
+              "gets", J.Fixed (1, s.Planner.sub_gets) ]
         in
         let plan_part =
           match planned with
-          | None -> ""
+          | None -> []
           | Some (o : Planner.outcome) ->
-            let subs =
-              List.map
-                (fun (s : Planner.substitution) ->
-                  Fmt.str
-                    "{\"view\":\"%s\",\"occurrence\":\"%s\",\"residual\":\"%s\",\
-                     \"heads\":%.1f,\"gets\":%.1f}"
-                    (json_escape s.Planner.sub_view)
-                    (json_escape s.Planner.sub_alias)
-                    (json_escape (Pred.to_string s.Planner.sub_residual))
-                    s.Planner.sub_heads s.Planner.sub_gets)
-                o.Planner.view_used
-            in
-            Fmt.str
-              ",\"candidates\":%d,\"merged\":%d,\"best_cost\":%.2f,\"substitutions\":[%s]"
-              (List.length o.Planner.candidates)
-              o.Planner.merged o.Planner.best.Planner.cost
-              (String.concat "," subs)
+            [ "candidates", J.Int (List.length o.Planner.candidates);
+              "merged", J.Int o.Planner.merged;
+              "best_cost", J.Fixed (2, o.Planner.best.Planner.cost);
+              "substitutions", J.List (List.map substitution o.Planner.view_used) ]
         in
-        Fmt.str "{\"sql\":\"%s\"%s%s,\"diagnostics\":[%s]}" (json_escape sql)
-          minimized plan_part
-          (String.concat "," (List.map json_of_diag ds))
+        J.Obj ((("sql", J.String sql) :: minimized) @ plan_part @ [ "diagnostics", diags ds ])
       in
-      Fmt.pr
-        "{\"views\":%d,\"view_buckets\":%d,\"registry_diagnostics\":[%s],\"workload_diagnostics\":[%s],\"queries\":[%s],\"errors\":%d,\"warnings\":%d}@."
-        (Viewmatch.size index) (Viewmatch.buckets index)
-        (String.concat "," (List.map json_of_diag registry_diags))
-        (String.concat "," (List.map json_of_diag workload_diags))
-        (String.concat "," (List.map query_json reports))
-        (List.length (Diagnostic.errors all))
-        (List.length (Diagnostic.warnings all))
+      Fmt.pr "%s@."
+        (J.compact
+           (J.Obj
+              [ "views", J.Int (Viewmatch.size index);
+                "view_buckets", J.Int (Viewmatch.buckets index);
+                "registry_diagnostics", diags registry_diags;
+                "workload_diagnostics", diags workload_diags;
+                "queries", J.List (List.map query_json reports);
+                "errors", J.Int (List.length (Diagnostic.errors all));
+                "warnings", J.Int (List.length (Diagnostic.warnings all)) ]))
     end
     else begin
       Fmt.pr "view registry: %d views in %d filter-tree buckets@."
@@ -779,71 +758,64 @@ let analyze_cmd =
 (* ------------------------------------------------------------------ *)
 
 let json_of_freshness = function
-  | None -> "null"
+  | None -> J.Null
   | Some (f : Server.Sched.freshness) ->
-    Fmt.str
-      "{\"verdict\":\"%s\",\"pages_served\":%d,\"stale_served\":%d,\
-       \"mean_staleness\":%.3f,\"max_staleness\":%d,\"checks_denied\":%d,\
-       \"pages_missing\":%d}"
-      (Server.Sched.verdict_to_string f.Server.Sched.verdict)
-      f.Server.Sched.pages_served f.Server.Sched.stale_served
-      f.Server.Sched.mean_staleness f.Server.Sched.max_staleness
-      f.Server.Sched.checks_denied f.Server.Sched.pages_missing
+    J.Obj
+      [ "verdict", J.String (Server.Sched.verdict_to_string f.Server.Sched.verdict);
+        "pages_served", J.Int f.Server.Sched.pages_served;
+        "stale_served", J.Int f.Server.Sched.stale_served;
+        "mean_staleness", J.Fixed (3, f.Server.Sched.mean_staleness);
+        "max_staleness", J.Int f.Server.Sched.max_staleness;
+        "checks_denied", J.Int f.Server.Sched.checks_denied;
+        "pages_missing", J.Int f.Server.Sched.pages_missing ]
 
 let json_of_result (r : Server.Sched.result) =
-  Fmt.str
-    "{\"qid\":%d,\"label\":\"%s\",\"rows\":%d,\"complete\":%b,\
-     \"stale_pages\":%d,\"missing_pages\":%d,\"elapsed_ms\":%.3f,\
-     \"freshness\":%s}"
-    r.Server.Sched.qid
-    (json_escape r.Server.Sched.label)
-    (Adm.Relation.cardinality r.Server.Sched.rows)
-    r.Server.Sched.completeness.Server.Sched.complete
-    r.Server.Sched.completeness.Server.Sched.stale_pages
-    r.Server.Sched.completeness.Server.Sched.missing_pages
-    r.Server.Sched.elapsed_ms
-    (json_of_freshness r.Server.Sched.freshness)
+  let c = r.Server.Sched.completeness in
+  J.Obj
+    [ "qid", J.Int r.Server.Sched.qid; "label", J.String r.Server.Sched.label;
+      "rows", J.Int (Adm.Relation.cardinality r.Server.Sched.rows);
+      "complete", J.Bool c.Server.Sched.complete;
+      "stale_pages", J.Int c.Server.Sched.stale_pages;
+      "missing_pages", J.Int c.Server.Sched.missing_pages;
+      "elapsed_ms", J.Fixed (3, r.Server.Sched.elapsed_ms);
+      "freshness", json_of_freshness r.Server.Sched.freshness ]
 
 let json_of_sched_report (r : Server.Sched.report) =
-  Fmt.str
-    "{\"makespan_ms\":%.3f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"domains\":%d,\
-     \"turns\":%d,\"queries\":[%s]}"
-    r.Server.Sched.makespan_ms r.Server.Sched.p50_ms r.Server.Sched.p95_ms
-    r.Server.Sched.domains r.Server.Sched.turns
-    (String.concat "," (List.map json_of_result r.Server.Sched.results))
+  J.Obj
+    [ "makespan_ms", J.Fixed (3, r.Server.Sched.makespan_ms);
+      "p50_ms", J.Fixed (3, r.Server.Sched.p50_ms);
+      "p95_ms", J.Fixed (3, r.Server.Sched.p95_ms);
+      "domains", J.Int r.Server.Sched.domains; "turns", J.Int r.Server.Sched.turns;
+      "queries", J.List (List.map json_of_result r.Server.Sched.results) ]
 
 let json_of_churn_report (r : Churn.Runtime.report) =
-  let m = r.Churn.Runtime.maintenance in
-  Fmt.str
-    "{\"policy\":\"%s\",\"ticks\":%d,\"mutations\":%d,\
-     \"mutations_by_kind\":{%s},\
-     \"maintenance\":{\"slices\":%d,\"heads\":%d,\"gets_refreshed\":%d,\
-     \"validated\":%d,\"gone\":%d,\"purged\":%d,\"swept\":%d,\"denied\":%d},\
-     \"full_refreshes\":%d,\"budget_spent\":%.1f,\"budget_denied\":%d,\
-     \"verdicts\":{%s},\"violations\":%d,\
-     \"mean_staleness\":%.4f,\"p95_staleness\":%.2f,\"store_pages\":%d,\
-     \"wire\":{\"gets\":%d,\"heads\":%d,\"bytes\":%d,\"head_bytes\":%d},\
-     \"sched\":%s}"
-    (Churn.Runtime.policy_to_string r.Churn.Runtime.policy)
-    r.Churn.Runtime.ticks r.Churn.Runtime.mutations_total
-    (String.concat ","
-       (List.map
-          (fun (k, n) ->
-            Fmt.str "\"%s\":%d" (Churn.Traffic.kind_to_string k) n)
-          r.Churn.Runtime.mutations))
-    m.Churn.Maintain.slices m.Churn.Maintain.heads m.Churn.Maintain.gets_refreshed
-    m.Churn.Maintain.validated m.Churn.Maintain.gone m.Churn.Maintain.purged
-    m.Churn.Maintain.swept m.Churn.Maintain.denied
-    r.Churn.Runtime.full_refreshes r.Churn.Runtime.budget_spent
-    r.Churn.Runtime.budget_denied
-    (String.concat ","
-       (List.map (fun (v, n) -> Fmt.str "\"%s\":%d" v n) r.Churn.Runtime.verdicts))
-    r.Churn.Runtime.violations r.Churn.Runtime.mean_staleness
-    r.Churn.Runtime.p95_staleness r.Churn.Runtime.store_pages
-    r.Churn.Runtime.wire.Websim.Fetcher.gets r.Churn.Runtime.wire.Websim.Fetcher.heads
-    r.Churn.Runtime.wire.Websim.Fetcher.bytes
-    r.Churn.Runtime.wire.Websim.Fetcher.head_bytes
-    (json_of_sched_report r.Churn.Runtime.sched)
+  let m = r.Churn.Runtime.maintenance and w = r.Churn.Runtime.wire in
+  let counts name_of kvs = J.Obj (List.map (fun (k, n) -> (name_of k, J.Int n)) kvs) in
+  J.Obj
+    [ "policy", J.String (Churn.Runtime.policy_to_string r.Churn.Runtime.policy);
+      "ticks", J.Int r.Churn.Runtime.ticks; "mutations", J.Int r.Churn.Runtime.mutations_total;
+      "mutations_by_kind", counts Churn.Traffic.kind_to_string r.Churn.Runtime.mutations;
+      "maintenance",
+      J.Obj
+        [ "slices", J.Int m.Churn.Maintain.slices; "heads", J.Int m.Churn.Maintain.heads;
+          "gets_refreshed", J.Int m.Churn.Maintain.gets_refreshed;
+          "validated", J.Int m.Churn.Maintain.validated; "gone", J.Int m.Churn.Maintain.gone;
+          "purged", J.Int m.Churn.Maintain.purged; "swept", J.Int m.Churn.Maintain.swept;
+          "denied", J.Int m.Churn.Maintain.denied ];
+      "full_refreshes", J.Int r.Churn.Runtime.full_refreshes;
+      "budget_spent", J.Fixed (1, r.Churn.Runtime.budget_spent);
+      "budget_denied", J.Int r.Churn.Runtime.budget_denied;
+      "verdicts", counts Fun.id r.Churn.Runtime.verdicts;
+      "violations", J.Int r.Churn.Runtime.violations;
+      "mean_staleness", J.Fixed (4, r.Churn.Runtime.mean_staleness);
+      "p95_staleness", J.Fixed (2, r.Churn.Runtime.p95_staleness);
+      "store_pages", J.Int r.Churn.Runtime.store_pages;
+      "wire",
+      J.Obj
+        [ "gets", J.Int w.Websim.Fetcher.gets; "heads", J.Int w.Websim.Fetcher.heads;
+          "bytes", J.Int w.Websim.Fetcher.bytes;
+          "head_bytes", J.Int w.Websim.Fetcher.head_bytes ];
+      "sched", json_of_sched_report r.Churn.Runtime.sched ]
 
 let templates_for = function
   | University -> Server.Workload.university_templates
@@ -873,7 +845,7 @@ let run_churn ~rate ~churn_seed ~budget ~max_age ~maintenance ~query_check
       loaded.schema stats loaded.registry http entries
   in
   Option.iter Server.Pool.shutdown pool;
-  if json then Fmt.pr "%s@." (json_of_churn_report report)
+  if json then Fmt.pr "%s@." (J.compact (json_of_churn_report report))
   else begin
     Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d, churn %.3f/tick@.@."
       (List.length entries) concurrency quantum domains rate;
@@ -1061,7 +1033,7 @@ let serve_cmd =
       in
       let report = Server.Sched.run ?stale config cache loaded.schema specs in
       Option.iter Server.Pool.shutdown pool;
-      if json then Fmt.pr "%s@." (json_of_sched_report report)
+      if json then Fmt.pr "%s@." (J.compact (json_of_sched_report report))
       else begin
         Fmt.pr "%d queries, concurrency %d, quantum %d, domains %d@.@."
           (List.length specs) concurrency quantum domains;

@@ -76,4 +76,18 @@ for bad in "SELEC x" "SELECT z.Foo FROM Nope z"; do
 done
 rm -f /tmp/ci_front_end.$$
 
+echo "== one evaluator: no reference-interpreter call or streamability fallback in lib/ or bin/ =="
+# Every plan is lowered and run by Exec. The reference interpreter
+# (Eval.eval_legacy) is a test/bench oracle only, and Physplan.lower
+# never raises Not_streamable; each name may appear only where it is
+# defined.
+{ grep -rn 'eval_legacy' lib bin | grep -vE '^lib/core/eval\.mli?:' || true
+  grep -rn 'Not_streamable' lib bin | grep -vE '^lib/core/physplan\.mli?:' || true
+} > /tmp/ci_one_evaluator.$$
+if [ -s /tmp/ci_one_evaluator.$$ ]; then
+  echo "eval_legacy / Not_streamable used outside their definitions:"
+  cat /tmp/ci_one_evaluator.$$; rm -f /tmp/ci_one_evaluator.$$; exit 1
+fi
+rm -f /tmp/ci_one_evaluator.$$
+
 echo "== ci: all green =="

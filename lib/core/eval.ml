@@ -7,10 +7,10 @@
    {!Physplan.lower} into a streaming plan and executed by
    {!Exec.run} with pull-based cursors — same results, same distinct
    page accesses, but pipelined fetching and bounded intermediate
-   state. Expressions with no streaming form (an unnest whose inner
-   header cannot be inferred statically) fall back to [eval_legacy],
-   the original relation-at-a-time interpreter, which is also kept as
-   the differential-testing oracle. *)
+   state. Lowering is total on well-typed expressions, so that is the
+   only way a plan runs; [eval_legacy], the original
+   relation-at-a-time interpreter, is kept solely as the
+   differential-testing oracle. *)
 
 exception Not_computable = Physplan.Not_computable
 
@@ -63,8 +63,6 @@ let instance_source (instance : Websim.Crawler.instance) =
     window = 32;
   }
 
-let pages_relation = Exec.pages_relation
-
 (* ------------------------------------------------------------------ *)
 (* The legacy relation-at-a-time evaluator                             *)
 (* ------------------------------------------------------------------ *)
@@ -72,8 +70,8 @@ let pages_relation = Exec.pages_relation
 (* Kept verbatim in spirit: a navigation [P1 →L P2] collects the
    distinct values of link attribute L across the fully materialized
    source, fetches those pages and hash-joins on [P1.L = P2.URL].
-   Used as the fallback for non-streamable expressions and as the
-   oracle the streaming executor is differentially tested against. *)
+   The oracle the streaming executor is differentially tested
+   against; no query path runs it. *)
 let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
     Adm.Relation.t =
   let attrs_of = Nalg.output_attrs_memo schema in
@@ -88,7 +86,7 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
       match Adm.Page_scheme.entry_url ps with
       | None ->
         raise (Not_computable (Fmt.str "page-scheme %s is not an entry point" scheme))
-      | Some url -> pages_relation schema source ~scheme ~alias [ url ])
+      | Some url -> Exec.pages_relation schema source ~scheme ~alias [ url ])
     | Nalg.Select (p, e1) ->
       let r = go e1 in
       Adm.Relation.filter_rows (Pred.compile ~offset:(Adm.Relation.offset_opt r) p) r
@@ -114,7 +112,7 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
         |> List.filter_map Adm.Value.as_link
         |> List.sort_uniq String.compare
       in
-      let target = pages_relation schema source ~scheme ~alias urls in
+      let target = Exec.pages_relation schema source ~scheme ~alias urls in
       Adm.Relation.equi_join
         [ (link, alias ^ "." ^ Adm.Page_scheme.url_attr) ]
         src_rel target
@@ -140,7 +138,7 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
             (Not_computable
                (Fmt.str "call to %s does not bind every parameter" c_scheme))
         | Some url ->
-          pages_relation schema source ~scheme:c_scheme ~alias:c_alias [ url ])
+          Exec.pages_relation schema source ~scheme:c_scheme ~alias:c_alias [ url ])
       | Some src ->
         (* per source row: compute the templated URL from its bound
            arguments, fetch each distinct URL once, join row and page *)
@@ -162,7 +160,7 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
         let urls =
           List.filter_map url_of src_rows |> List.sort_uniq String.compare
         in
-        let target = pages_relation schema source ~scheme:c_scheme ~alias:c_alias urls in
+        let target = Exec.pages_relation schema source ~scheme:c_scheme ~alias:c_alias urls in
         let target_attrs = Adm.Relation.attrs target in
         let url_attr = c_alias ^ "." ^ Adm.Page_scheme.url_attr in
         let url_off =
@@ -195,37 +193,13 @@ let eval_legacy (schema : Adm.Schema.t) (source : source) (e : Nalg.expr) :
 (* Lower-then-run                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let truncate limit r =
-  match limit with
-  | None -> r
-  | Some l ->
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: tl -> x :: take (n - 1) tl
-    in
-    Adm.Relation.of_arrays (Adm.Relation.attrs r)
-      (take l (Adm.Relation.rows_arrays r))
-
 let eval ?limit ?views (schema : Adm.Schema.t) (source : source)
     (e : Nalg.expr) : Adm.Relation.t =
   let view_attrs =
-    match views with
-    | Some (v : Exec.views) -> v.Exec.view_attrs
-    | None -> fun _ -> None
+    Option.map (fun (v : Exec.views) -> v.Exec.view_attrs) views
   in
-  match Physplan.lower ~view_attrs ~window:source.window schema e with
-  | plan -> Exec.run ?limit ?views schema source plan
-  | exception Physplan.Not_streamable _ ->
-    truncate limit (eval_legacy schema source e)
-
-(* Evaluate and report the network work done, as (relation, stats
-   delta). Only meaningful with a live source. *)
-let eval_counted ?limit schema http source e =
-  let before = Websim.Http.snapshot http in
-  let result = eval ?limit schema source e in
-  let after = Websim.Http.snapshot http in
-  (result, Websim.Http.diff ~before ~after)
+  Exec.run ?limit ?views schema source
+    (Physplan.lower ?view_attrs ~window:source.window schema e)
 
 (* Evaluate through the fetch engine and report the merged cost
    ledger: the paper's page accesses and the runtime's fetch work

@@ -5,7 +5,8 @@
     {!Exec.run} executes it with pull-based cursors (same results and
     distinct page accesses as relation-at-a-time evaluation, but
     pipelined fetching, incremental link dedup and bounded intermediate
-    state). Non-streamable expressions fall back to {!eval_legacy}. *)
+    state). Lowering is total on well-typed expressions, so this is the
+    only way a plan runs. *)
 
 exception Not_computable of string
 
@@ -33,32 +34,23 @@ val live_source : ?cache:bool -> Adm.Schema.t -> Websim.Http.t -> source
 val instance_source : Websim.Crawler.instance -> source
 (** Reads a crawled instance; no network. *)
 
-val pages_relation :
-  Adm.Schema.t -> source -> scheme:string -> alias:string -> string list ->
-  Adm.Relation.t
-(** The page relation of a URL set, attributes qualified by [alias].
-    URLs whose page is gone are skipped (dangling links tolerated). *)
-
 val eval :
   ?limit:int -> ?views:Exec.views -> Adm.Schema.t -> source -> Nalg.expr ->
   Adm.Relation.t
 (** Lower and run. With [limit], the executor stops pulling (and
     fetching pages) once that many rows are produced — the early-exit
     protocol. [views] lets [External] leaves that name a registered
-    materialized view lower to [View_scan] and answer from the store;
-    without it, raises {!Not_computable} on [External] leaves or
-    non-entry-point [Entry] leaves. *)
+    materialized view lower to [View_scan] and answer from the store.
+    Raises {!Not_computable} when {!Physplan.lower} does: an [External]
+    leaf that names no view, a non-entry-point [Entry] leaf, or an
+    ill-typed unnest. *)
 
 val eval_legacy : Adm.Schema.t -> source -> Nalg.expr -> Adm.Relation.t
 (** The original relation-at-a-time interpreter: every operator
     materializes its input, a navigation collects the distinct link
-    values of the whole source before fetching. Fallback for
-    non-streamable plans and the oracle for differential tests. *)
-
-val eval_counted :
-  ?limit:int -> Adm.Schema.t -> Websim.Http.t -> source -> Nalg.expr ->
-  Adm.Relation.t * Websim.Http.stats
-(** Evaluate and report the network work done. *)
+    values of the whole source before fetching. The reference oracle
+    for differential tests and benchmarks only; no query path runs
+    it. *)
 
 type fetch_report = {
   result : Adm.Relation.t;

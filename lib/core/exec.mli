@@ -4,9 +4,10 @@
     the consumer pulls from the root, so a [LIMIT] (or an emptiness
     check) stops pulling and upstream operators — in particular the
     page-fetching ones — never do the skipped work (the early-exit
-    protocol). Results are the same headers and row multisets as the
-    legacy relation-at-a-time evaluator, and on a perfect network the
-    same distinct page accesses. *)
+    protocol). This is the only engine a plan runs on. Results are the
+    same headers and row multisets as the relation-at-a-time reference
+    interpreter in {!Eval} (the differential-testing oracle), and on a
+    perfect network the same distinct page accesses. *)
 
 type source = {
   fetch : scheme:string -> url:string -> Adm.Value.tuple option;
@@ -116,7 +117,7 @@ val metrics_of : run -> metrics
 
 (** {1 Page-scheme helpers}
 
-    Shared with the legacy evaluator in {!Eval}. *)
+    Shared with the reference interpreter in {!Eval}. *)
 
 val scheme_attr_names : Adm.Schema.t -> string -> string list
 (** URL attribute followed by the scheme attributes in declaration

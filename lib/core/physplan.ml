@@ -18,13 +18,14 @@
      engine prefetch windows of [window] URLs while probing pages
      already fetched.
 
-   Lowering refuses two situations. [Not_computable] (re-exported by
-   {!Eval}, with the exact legacy messages) is raised for [External]
-   leaves and non-entry-point entries. [Not_streamable] is raised when
-   an unnest's inner header cannot be inferred statically — the data
-   would have to dictate the header, which a fixed-width pipeline
-   cannot do — and {!Eval.eval} falls back to the materializing
-   evaluator for the whole expression. *)
+   Lowering is total on well-typed expressions: every one has a
+   physical form, so a plan runs exactly one way. It raises
+   [Not_computable] (re-exported by {!Eval}) for what has no physical
+   form at all: [External] leaves that name no registered view,
+   non-entry-point entries, calls to unparameterized schemes, and
+   unnests the typechecker rejects (E0103/E0104). An unnest's inner
+   header is the typechecker's own judgment over the input
+   ({!Typecheck.unnest_fields}), never the data. *)
 
 type est = {
   est_rows : float; (* estimated output cardinality of the operator *)
@@ -68,15 +69,12 @@ and op = { id : int; node : node; est : est option }
 type plan = { root : op; n_ops : int; window : int }
 
 exception Not_computable of string
-exception Not_streamable of string
 
-let prefixed prefix a =
-  String.length a > String.length prefix
-  && String.sub a 0 (String.length prefix) = prefix
+(* Never raised: lowering is total on well-typed expressions. *)
+exception Not_streamable of string
 
 let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
     (schema : Adm.Schema.t) (e : Nalg.expr) : plan =
-  let attrs_of = Nalg.output_attrs_memo schema in
   let counter = ref 0 in
   let mk node est =
     let id = !counter in
@@ -141,12 +139,11 @@ let lower ?card ?pages ?(view_attrs = fun (_ : string) -> None) ?(window = 8)
       mk (Hash_join { keys; left; right; build_left }) (est_of e)
     | Nalg.Unnest (e1, attr) ->
       let input = go e1 in
-      let expect = List.filter (prefixed (attr ^ ".")) (attrs_of e) in
-      if expect = [] then
-        raise
-          (Not_streamable
-             (Fmt.str "unnest of %s exposes no statically-known nested attributes"
-                attr));
+      let expect =
+        match Typecheck.unnest_fields (fst (Typecheck.infer schema e1)) attr with
+        | Ok fields -> List.map (fun (f, _) -> attr ^ "." ^ f) fields
+        | Error (_, msg) -> raise (Not_computable msg)
+      in
       mk (Stream_unnest { attr; expect; input }) (est_of e)
     | Nalg.Follow { src; link; scheme; alias } ->
       let src_op = go src in
@@ -197,6 +194,12 @@ let rec op_to_nalg (o : op) : Nalg.expr =
     if filter = [] then base else Nalg.Select (filter, base)
 
 let to_nalg plan = op_to_nalg plan.root
+
+(* A lowered plan is judged like any other rewrite: its logical
+   reading must typecheck and keep the output shape of the expression
+   it was lowered from. *)
+let check (schema : Adm.Schema.t) ~(parent : Nalg.expr) (plan : plan) =
+  Typecheck.soundness schema ~parent ~child:(to_nalg plan)
 
 (* ------------------------------------------------------------------ *)
 (* Traversal and printing                                              *)

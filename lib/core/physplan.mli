@@ -67,13 +67,14 @@ and op = { id : int; node : node; est : est option }
 type plan = { root : op; n_ops : int; window : int }
 
 exception Not_computable of string
-(** Same meaning (and messages) as the legacy evaluator: [External]
-    leaves and non-entry-point [Entry] leaves have no physical form. *)
+(** The expression has no physical form: an [External] leaf that names
+    no registered view, a non-entry-point [Entry] leaf, a call to a
+    scheme without parameters, or an unnest the typechecker rejects
+    ([E0103]/[E0104], same message). *)
 
 exception Not_streamable of string
-(** The expression is computable but has no streaming form (an unnest
-    whose inner header cannot be inferred statically); callers fall
-    back to the materializing evaluator. *)
+(** Never raised: {!lower} is total on well-typed expressions. Kept
+    only for callers that still match it. *)
 
 val lower :
   ?card:(Nalg.expr -> float) ->
@@ -91,12 +92,21 @@ val lower :
     materialized view by name; when it returns [Some attrs] an
     [External] leaf lowers to {!View_scan} instead of raising.
     [window] (default 8) is the prefetch window handed to the fetch
-    engine. Raises {!Not_computable} or {!Not_streamable}. *)
+    engine. An unnest's streaming header is the typechecker's verdict
+    on its input ({!Typecheck.unnest_fields}). Total on expressions
+    {!Typecheck.check} accepts; raises {!Not_computable} in the cases
+    listed there. *)
 
 val to_nalg : plan -> Nalg.expr
 (** Reconstruct the logical expression a plan computes (fused filters
     reappear as [Select] wrappers) — this is what lets {!Typecheck}
     judge a lowered plan like any other rewrite. *)
+
+val check : Adm.Schema.t -> parent:Nalg.expr -> plan -> Diagnostic.t list
+(** Judge a lowered plan like a rewrite step
+    ({!Typecheck.soundness}): its logical reading ({!to_nalg}) must
+    typecheck and keep [parent]'s output shape. Returns [[]] when the
+    lowering is sound. *)
 
 val fold : ('a -> op -> 'a) -> 'a -> plan -> 'a
 (** Pre-order fold over the operators. *)

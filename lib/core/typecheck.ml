@@ -32,6 +32,19 @@ let scheme_env (schema : Adm.Schema.t) ~scheme ~alias : env =
 (* Typed NALG inference (E01xx)                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The nested fields an unnest of [attr] exposes over an input typed
+   [env], or the E0103/E0104 finding that rejects it. Shared with
+   {!Physplan.lower}, whose streaming unnest takes its static header
+   from this judgment. *)
+let unnest_fields (env : env) attr =
+  match List.assoc_opt attr env with
+  | Some (Adm.Webtype.List fields) -> Ok fields
+  | Some ty ->
+    Error
+      ( "E0104",
+        Fmt.str "unnest of %s: not a list attribute (%a)" attr Adm.Webtype.pp ty )
+  | None -> Error ("E0103", Fmt.str "unnest references unavailable attribute %s" attr)
+
 (* Bottom-up inference of the ordered output environment of every
    subexpression. The environment mirrors [Nalg.output_attrs] name for
    name (same order), adding the web type of each attribute. [rev] is
@@ -145,14 +158,10 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
     | Nalg.Unnest (e1, attr) ->
       let env1 = go ("unnest" :: rev) e1 in
       let fields =
-        match List.assoc_opt attr env1 with
-        | Some (Adm.Webtype.List fields) -> fields
-        | Some ty ->
-          err rev "E0104" "unnest of %s: not a list attribute (%a)" attr
-            Adm.Webtype.pp ty;
-          []
-        | None ->
-          err rev "E0103" "unnest references unavailable attribute %s" attr;
+        match unnest_fields env1 attr with
+        | Ok fields -> fields
+        | Error (code, msg) ->
+          err rev code "%s" msg;
           []
       in
       List.filter (fun (a, _) -> not (String.equal a attr)) env1
@@ -292,13 +301,6 @@ let judge ~parent:(parent_env, parent_diags) ~child:(child_env, child_diags) :
 let soundness (schema : Adm.Schema.t) ~(parent : Nalg.expr)
     ~(child : Nalg.expr) : Diagnostic.t list =
   judge ~parent:(infer schema parent) ~child:(infer schema child)
-
-(* A lowered physical plan is judged like any other rewrite: its
-   logical reading must typecheck and keep the output shape of the
-   expression it was lowered from. *)
-let check_plan (schema : Adm.Schema.t) ~(parent : Nalg.expr)
-    (plan : Physplan.plan) : Diagnostic.t list =
-  soundness schema ~parent ~child:(Physplan.to_nalg plan)
 
 (* ------------------------------------------------------------------ *)
 (* Schema lint (E02xx / W02xx)                                         *)

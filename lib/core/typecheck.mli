@@ -39,6 +39,13 @@ val infer :
     (each attribute qualified by the alias) instead of raising [E0107]
     — views become first-class access paths to the type system. *)
 
+val unnest_fields :
+  env -> string -> ((string * Adm.Webtype.t) list, string * string) result
+(** [unnest_fields env attr]: the nested fields an unnest of [attr]
+    exposes over an input typed [env], or [Error (code, message)] with
+    the [E0104] (not a list) or [E0103] (unavailable) finding that
+    rejects it. {!infer} and {!Physplan.lower} share this judgment. *)
+
 val check : Adm.Schema.t -> Nalg.expr -> Diagnostic.t list
 (** [check schema e = snd (infer schema e)]. *)
 
@@ -59,12 +66,6 @@ val judge :
   Diagnostic.t list
 (** The judgment underlying {!soundness}, over pre-computed {!infer}
     results — lets the planner memoize inference across a closure. *)
-
-val check_plan :
-  Adm.Schema.t -> parent:Nalg.expr -> Physplan.plan -> Diagnostic.t list
-(** Judge a lowered physical plan like a rewrite step: its logical
-    reading ({!Physplan.to_nalg}) must typecheck and keep [parent]'s
-    output shape. Returns [[]] when the lowering is sound. *)
 
 val lint_schema : Adm.Schema.t -> Diagnostic.t list
 (** Schema well-formedness beyond what {!Adm.Schema.make} enforces:

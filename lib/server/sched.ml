@@ -145,19 +145,11 @@ type result = {
   steps : int;
 }
 
-(* Streamable plans run on the resumable cursor API; the rare
-   non-streamable expression falls back to the materializing evaluator
-   as a single indivisible step (it cannot yield mid-way, so it also
-   cannot honor a deadline mid-way — documented degradation). *)
-type engine =
-  | Streaming of Webviews.Exec.run
-  | Eager of Webviews.Nalg.expr
-  | Eager_done of Adm.Relation.t
-
+(* Every plan runs on the resumable cursor API: lowering is total on
+   the planner's well-typed plans, so a job is its [Exec] run. *)
 type job = {
   spec : spec;
-  source : Webviews.Eval.source;
-  mutable engine : engine;
+  run : Webviews.Exec.run;
   mutable last_turn : int; (* scheduler turn this job last ran in *)
   mutable steps : int;
   mutable stale_pages : int;
@@ -168,33 +160,6 @@ type job = {
   mutable chain_end : float; (* virtual end of the latest charged quantum *)
   mutable service_ms : float; (* lane time charged to this query *)
 }
-
-let job_finished j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.finished r
-  | Eager _ -> false
-  | Eager_done _ -> true
-
-let job_buffered j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.buffered_rows r
-  | Eager _ -> 0
-  | Eager_done r -> Adm.Relation.cardinality r
-
-(* One cooperative step. *)
-let job_step (schema : Adm.Schema.t) j =
-  j.steps <- j.steps + 1;
-  match j.engine with
-  | Streaming r -> ignore (Webviews.Exec.step r)
-  | Eager e ->
-    j.engine <- Eager_done (Webviews.Eval.eval_legacy schema j.source e)
-  | Eager_done _ -> ()
-
-let job_rows j =
-  match j.engine with
-  | Streaming r -> Webviews.Exec.snapshot r
-  | Eager _ -> Adm.Relation.empty []
-  | Eager_done r -> r
 
 (* The per-query page source: the shared cache with this query's
    identity attached — pages arrive through the extracted-tuple tier,
@@ -305,12 +270,10 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
       ~deadline_hit =
     j.stale_pages <- !stale_c;
     j.missing_pages <- !missing_c;
-    let rows = job_rows j in
+    let rows = Webviews.Exec.snapshot j.run in
     let exhausted =
-      match j.engine with
-      | Streaming r -> Webviews.Exec.finished r && (Webviews.Exec.metrics_of r).Webviews.Exec.exhausted
-      | Eager _ -> false
-      | Eager_done _ -> true
+      Webviews.Exec.finished j.run
+      && (Webviews.Exec.metrics_of j.run).Webviews.Exec.exhausted
     in
     let completeness =
       {
@@ -387,13 +350,14 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
   let remove (j, _, _) =
     resident := List.filter (fun (j', _, _) -> j' != j) !resident
   in
+  let resident_rows () =
+    List.fold_left (fun acc (j, _, _) -> acc + Webviews.Exec.buffered_rows j.run) 0 !resident
+  in
   let admit () =
     while
       (not (Queue.is_empty pending))
       && List.length !resident < cfg.concurrency
-      && (!resident = []
-         || List.fold_left (fun acc (j, _, _) -> acc + job_buffered j) 0 !resident
-            <= cfg.max_resident_rows)
+      && (!resident = [] || resident_rows () <= cfg.max_resident_rows)
     do
       let spec = Queue.pop pending in
       let stale_c = ref 0 and missing_c = ref 0 in
@@ -416,14 +380,10 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
         Option.map (fun (v : Webviews.Exec.views) -> v.Webviews.Exec.view_attrs)
           exec_views
       in
-      let engine =
-        match
-          Webviews.Physplan.lower ?view_attrs
-            ~window:source.Webviews.Eval.window schema spec.expr
-        with
-        | plan ->
-          Streaming (Webviews.Exec.start ?views:exec_views schema source plan)
-        | exception Webviews.Physplan.Not_streamable _ -> Eager spec.expr
+      let run =
+        Webviews.Exec.start ?views:exec_views schema source
+          (Webviews.Physplan.lower ?view_attrs
+             ~window:source.Webviews.Eval.window schema spec.expr)
       in
       (* The admission stamp is the earliest lane frontier: the first
          moment any domain could have picked the query up. *)
@@ -432,8 +392,7 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
       let job =
         {
           spec;
-          source;
-          engine;
+          run;
           last_turn = -1;
           steps = 0;
           stale_pages = 0;
@@ -493,8 +452,11 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
       else begin
         let k = ref cfg.quantum in
         let before = now () in
-        while !k > 0 && (not (job_finished j)) && not (deadline_passed j) do
-          job_step schema j;
+        while
+          !k > 0 && (not (Webviews.Exec.finished j.run)) && not (deadline_passed j)
+        do
+          j.steps <- j.steps + 1;
+          ignore (Webviews.Exec.step j.run);
           decr k
         done;
         (* Greedy list scheduling: charge the quantum's simulated
@@ -519,10 +481,8 @@ let run ?stale ?on_result ?(keep_rows = true) ?on_turn ?source_for ?probe
              old clock-at-finalize semantics. *)
           j.chain_end <-
             Float.max j.chain_end lane_clock.(least_loaded ());
-        peak_rows :=
-          max !peak_rows
-            (List.fold_left (fun acc (j', _, _) -> acc + job_buffered j') 0 !resident);
-        if job_finished j then begin
+        peak_rows := max !peak_rows (resident_rows ());
+        if Webviews.Exec.finished j.run then begin
           finalize entry ~deadline_hit:false;
           remove entry
         end

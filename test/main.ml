@@ -27,4 +27,6 @@ let () =
       Test_churn.suite;
       Test_bindings.suite;
       Test_plan_identity.suite;
+      Test_lowering.suite;
+      Test_json_emit.suite;
     ]

@@ -99,7 +99,7 @@ let prop_lowered_plans_well_typed =
           let plan = Cost.lower schema (Lazy.force stats) p.Planner.expr in
           not
             (Diagnostic.has_errors
-               (Typecheck.check_plan schema ~parent:p.Planner.expr plan)))
+               (Physplan.check schema ~parent:p.Planner.expr plan)))
         outcome.Planner.candidates)
 
 (* --- deterministic seeds across the three sites -------------------- *)

@@ -116,7 +116,9 @@ let test_passthrough_query_identity () =
   in
   let http = Websim.Http.connect site in
   let source = Eval.live_source uni_schema http in
-  let _, stats = Eval.eval_counted uni_schema http source plan in
+  let before = Websim.Http.snapshot http in
+  ignore (Eval.eval uni_schema source plan);
+  let stats = Websim.Http.diff ~before ~after:(Websim.Http.snapshot http) in
   check int_t "GETs as before the runtime" 6 stats.Websim.Http.gets;
   check int_t "bytes as before the runtime" 4849 stats.Websim.Http.bytes;
   let mv = Matview.materialize uni_schema (Websim.Http.connect site) in
@@ -214,7 +216,7 @@ let test_dangling_skipped_identically () =
   Websim.Site.delete site victim_url;
   let source = Eval.live_source uni_schema (Websim.Http.connect site) in
   let rel =
-    Eval.pages_relation uni_schema source ~scheme:"ProfPage" ~alias:"P"
+    Exec.pages_relation uni_schema source ~scheme:"ProfPage" ~alias:"P"
       [ victim_url; other_url ]
   in
   check int_t "live evaluation skips the dangling URL" 1
