@@ -123,7 +123,7 @@ bench-views:
 
 # Binding-pattern benchmark: the equivalent-rewriting search timed at
 # 10/100/500 registered path views (real forms plus vocabulary-hooked
-# decoy services), then the headline form-only query executed — GETs
+# decoy services that the search trims as irrelevant), then the headline form-only query executed — GETs
 # of the discovered composition vs the full-materialization oracle,
 # with a byte-identity check against generator ground truth. Writes
 # BENCH_bindings.json in the current directory; commit it so the

@@ -1966,8 +1966,9 @@ let views_bench () =
 (* Two questions. (1) How does the equivalent-rewriting search scale
    with the number of registered path views? The real site has 3; we
    pad the registry with synthetic decoy services (hooked into the
-   query's vocabulary so the search must consider them, but never able
-   to contribute an output) to 10/100/500 and time the search. (2) On
+   query's vocabulary, so they are callable from its constants, but
+   never able to contribute an output, so the search's relevance pass
+   drops them) to 10/100/500 and time the search. (2) On
    the form-only site, how many GETs does the discovered composition
    cost against the oracle that materializes every page before
    answering? Results go to stdout and BENCH_bindings.json; exits

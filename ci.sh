@@ -61,6 +61,17 @@ grep -q '"code":"E0111"' /tmp/ci_bindings_analyze.$$ \
   || { echo "E0111 missing from analyze --format=json"; rm -f /tmp/ci_bindings_analyze.$$; exit 1; }
 rm -f /tmp/ci_bindings_analyze.$$
 
+echo "== bench bindings: a rewriting at 10/100/500 path views, identical rows, fewer GETs than the oracle =="
+# Run from a scratch directory so the committed BENCH_bindings.json is
+# left alone; the benchmark exits nonzero when an acceptance check fails.
+ci_bench_dir=$(mktemp -d)
+repo_dir=$(pwd)
+( cd "$ci_bench_dir" && dune exec --root "$repo_dir" --profile ci bench/main.exe -- bindings ) \
+  > "$ci_bench_dir/out" 2>&1 \
+  || { cat "$ci_bench_dir/out"; rm -rf "$ci_bench_dir"; exit 1; }
+sed -n '/^path views/,/^$/p' "$ci_bench_dir/out"
+rm -rf "$ci_bench_dir"
+
 echo "== smoke front end: bad SQL exits 2 with a diagnostic code, never 125 =="
 for bad in "SELEC x" "SELECT z.Foo FROM Nope z"; do
   status=0

@@ -80,10 +80,11 @@ let of_schema (schema : Adm.Schema.t) : path_view list =
 (* Synthetic decoy views for scaling experiments: a vocabulary of
    [width] synthetic entity names, and [n] one-step services chaining
    them (view i maps one synthetic name to another; a [hooks] fraction
-   take a real seed name as input, so the search genuinely explores
-   the decoy space from the query's constants). Deterministic in
-   [seed]; decoys target nonexistent page-schemes but can never appear
-   in an emitted rewriting, because no decoy outputs a real name. *)
+   take a real seed name as input, so they are callable from the
+   query's constants). Deterministic in [seed]. Decoys target
+   nonexistent page-schemes, and since no decoy outputs a real name,
+   none can feed a query: the search's relevance pass drops them all
+   before the first state is expanded. *)
 let decoys ?(width = 24) ?(hooks = []) ~seed ~n () : path_view list =
   let state = ref (seed land 0x3FFFFFFF) in
   let rand m =
@@ -230,6 +231,7 @@ type goal = {
   g_select : string list;
   g_where : Pred.t;
   g_consts : (string * string) list;  (* logical name -> seed constant *)
+  g_names : string list;  (* logical names of the SELECT and WHERE attributes *)
 }
 
 let read_query (t : config) (q : Conjunctive.t) : goal option =
@@ -272,8 +274,18 @@ let read_query (t : config) (q : Conjunctive.t) : goal option =
             | _ -> None)
           q.Conjunctive.where
       in
-      Some { g_logical; g_select = q.Conjunctive.select; g_where = q.Conjunctive.where; g_consts }
+      let g_names =
+        q.Conjunctive.select @ List.concat_map Pred.atom_attrs q.Conjunctive.where
+        |> List.filter_map g_logical
+        |> List.fold_left (fun acc n -> if List.mem n acc then acc else n :: acc) []
+        |> List.rev
+      in
+      Some
+        { g_logical; g_select = q.Conjunctive.select; g_where = q.Conjunctive.where;
+          g_consts; g_names }
     else None
+
+let seeds g = g.g_consts
 
 (* Is [st] a goal state, and if so, the finished plan: every SELECT
    attribute carried by a plan attribute, and every WHERE atom either
@@ -369,61 +381,104 @@ let finish (g : goal) (st : state) : Nalg.expr option =
           in
           Some (Nalg.project select e)
 
+(* ------------------------------------------------------------------ *)
+(* Relevance: the views that can feed the query                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The least set of logical names holding [init] and closed under
+   [step]: [step mem pv] is what view [pv] adds to the set, given
+   membership [mem] in the set so far. *)
+let saturate (init : string list) (views : path_view list)
+    (step : (string -> bool) -> path_view -> string list) : (string, unit) Hashtbl.t =
+  let set = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace set n ()) init;
+  let mem n = Hashtbl.mem set n in
+  let rec grow () =
+    let grew =
+      List.fold_left
+        (fun grew pv ->
+          List.fold_left
+            (fun grew n -> if mem n then grew else (Hashtbl.replace set n (); true))
+            grew (step mem pv))
+        false views
+    in
+    if grew then grow ()
+  in
+  grow ();
+  set
+
+(* The views a rewriting of [g] can use. The query's useful names are
+   the least set holding every SELECT and WHERE name and every input of
+   a view with a useful output; a view is relevant when it has a
+   useful output. Restricting the search to relevant views drops no
+   rewriting: [finish] accepts a chain only when every call feeds a
+   SELECT column, a residual atom or a later call's argument, so by
+   induction from the last call backwards every call of an accepted
+   chain outputs a useful name. *)
+let relevant (g : goal) (views : path_view list) : path_view list =
+  let feeds useful pv = List.exists (fun (n, _) -> useful n) pv.pv_outputs in
+  let useful =
+    saturate g.g_names views (fun useful pv ->
+        if feeds useful pv then pv.pv_inputs else [])
+  in
+  List.filter (feeds (Hashtbl.mem useful)) views
+
 type search_report = {
   rewritings : Nalg.expr list;  (* executable compositions, fewest calls first *)
   explored : int;  (* states expanded *)
   truncated : bool;  (* the state cap stopped the search *)
 }
 
-let search ?(max_states = 20_000) ?(max_results = 4) ?(max_calls = 8)
-    (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) : search_report =
+(* Breadth-first search over binding states reached through [views],
+   seeded by the query's equality constants. *)
+let bfs ?(max_states = 20_000) ?(max_results = 4) ?(max_calls = 8)
+    (schema : Adm.Schema.t) (g : goal) (views : path_view list) : search_report =
+  let init =
+    {
+      bound = List.map (fun (n, v) -> (n, OConst v)) g.g_consts;
+      expr = None;
+      taken = [];
+      calls = 0;
+    }
+  in
+  let seen = Hashtbl.create 256 in
+  Hashtbl.replace seen (signature init) ();
+  let queue = Queue.create () in
+  Queue.add init queue;
+  let results = ref [] and explored = ref 0 and truncated = ref false in
+  while (not (Queue.is_empty queue)) && List.length !results < max_results do
+    if !explored >= max_states then begin
+      truncated := true;
+      Queue.clear queue
+    end
+    else begin
+      let st = Queue.pop queue in
+      incr explored;
+      (match finish g st with
+      | Some plan -> results := plan :: !results
+      | None -> ());
+      if st.calls < max_calls then
+        List.iter
+          (fun pv ->
+            match apply schema st pv with
+            | None -> ()
+            | Some st' ->
+              let k = signature st' in
+              if not (Hashtbl.mem seen k) then begin
+                Hashtbl.replace seen k ();
+                Queue.add st' queue
+              end)
+          views
+    end
+  done;
+  { rewritings = List.rev !results; explored = !explored; truncated = !truncated }
+
+let search ?max_states ?max_results ?max_calls (t : config) (schema : Adm.Schema.t)
+    (q : Conjunctive.t) : search_report =
   match read_query t q with
-  | None -> { rewritings = []; explored = 0; truncated = false }
-  | Some g ->
-    if g.g_consts = [] then { rewritings = []; explored = 0; truncated = false }
-    else
-      let init =
-        {
-          bound = List.map (fun (n, v) -> (n, OConst v)) g.g_consts;
-          expr = None;
-          taken = [];
-          calls = 0;
-        }
-      in
-      let seen = Hashtbl.create 256 in
-      Hashtbl.replace seen (signature init) ();
-      let queue = Queue.create () in
-      Queue.add init queue;
-      let results = ref [] and explored = ref 0 and truncated = ref false in
-      while
-        (not (Queue.is_empty queue))
-        && List.length !results < max_results
-      do
-        if !explored >= max_states then begin
-          truncated := true;
-          Queue.clear queue
-        end
-        else begin
-          let st = Queue.pop queue in
-          incr explored;
-          (match finish g st with
-          | Some plan -> results := plan :: !results
-          | None -> ());
-          if st.calls < max_calls then
-            List.iter
-              (fun pv ->
-                match apply schema st pv with
-                | None -> ()
-                | Some st' ->
-                  let k = signature st' in
-                  if not (Hashtbl.mem seen k) then begin
-                    Hashtbl.replace seen k ();
-                    Queue.add st' queue
-                  end)
-              t.views
-        end
-      done;
-      { rewritings = List.rev !results; explored = !explored; truncated = !truncated }
+  | Some g when g.g_consts <> [] ->
+    bfs ?max_states ?max_results ?max_calls schema g (relevant g t.views)
+  | Some _ | None -> { rewritings = []; explored = 0; truncated = false }
 
 (* ------------------------------------------------------------------ *)
 (* Planner hook and lint                                                *)
@@ -438,26 +493,44 @@ let planner_hook ?max_states ?max_results ?max_calls (t : config)
 
 (* Binding-pattern lint of one query: E0111 when the vocabulary covers
    the query but no executable composition answers it — the
-   binding-pattern analogue of "no computable plan". *)
+   binding-pattern analogue of "no computable plan". The message names
+   the query's names that no chain of relevant calls can bind from the
+   seed constants (an over-approximation of what the search can bind,
+   so a name it lists is certainly out of reach). *)
 let lint ?max_states (t : config) (schema : Adm.Schema.t) (q : Conjunctive.t) :
     Diagnostic.t list =
   match read_query t q with
   | None -> []
+  | Some g when g.g_consts = [] ->
+    [
+      Diagnostic.error ~code:"E0111"
+        "no executable composition: the query binds no parameter (every \
+         path view needs a bound input to start from)";
+    ]
   | Some g ->
-    let r = search ?max_states t schema q in
+    let views = relevant g t.views in
+    let r = bfs ?max_states schema g views in
     if r.rewritings <> [] then []
-    else if g.g_consts = [] then
-      [
-        Diagnostic.error ~code:"E0111"
-          "no executable composition: the query binds no parameter (every \
-           path view needs a bound input to start from)";
-      ]
     else
+      let bindable =
+        saturate (List.map fst g.g_consts) views (fun bound pv ->
+            if List.for_all bound pv.pv_inputs then List.map fst pv.pv_outputs else [])
+      in
+      let why =
+        match List.filter (fun n -> not (Hashtbl.mem bindable n)) g.g_names with
+        | [] ->
+          Fmt.str "no chain of the %d relevant path views covers it" (List.length views)
+        | unbound ->
+          Fmt.str "%s cannot be bound from the query's constants through the %d relevant \
+                   path views"
+            (String.concat ", " unbound) (List.length views)
+      in
       [
         Diagnostic.error ~code:"E0111"
           "no executable composition of the %d registered path views answers \
-           this query (searched %d binding states%s)"
-          (List.length t.views) r.explored
+           this query: %s (searched %d binding state%s%s)"
+          (List.length t.views) why r.explored
+          (if r.explored = 1 then "" else "s")
           (if r.truncated then ", truncated" else "");
       ]
 
