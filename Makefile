@@ -1,4 +1,4 @@
-.PHONY: build test check analyze ci bench bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings bench-all examples clean
+.PHONY: build test check analyze ci bench bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings bench-plan bench-all examples clean
 
 build:
 	dune build @all
@@ -25,6 +25,12 @@ check:
 	  "SELECT p.PName, p.Brand FROM Product p WHERE p.Category = 'Audio' AND p.Price >= 400" \
 	  "SELECT p.PName FROM Product p WHERE p.Price > 495"
 	dune exec --profile ci bin/webviews_cli.exe -- check --site bibliography
+	# the 4-occurrence queries (Example 7.2, the serve workload's 4-way
+	# template) under --strict: any warning, a truncated plan search
+	# included, fails the gate
+	dune exec --profile ci bin/webviews_cli.exe -- check --site university --strict \
+	  "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = pd.PName AND pd.DName = 'Computer Science' AND c.Type = 'Graduate'" \
+	  "SELECT p.PName FROM Course c, CourseInstructor ci, Professor p, ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = pd.PName AND pd.DName = 'Computer Science'"
 
 # Semantic analyzer gate: `webviews analyze --format=json` over the
 # same query set the examples/ programs run (mirrored above in
@@ -132,7 +138,17 @@ bench-views:
 bench-bindings:
 	dune exec bench/main.exe -- bindings
 
-bench-all: bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings
+# Planning benchmark: Examples 7.1/7.2, Figure 2 and the fourteen ad hoc
+# shapes planned by the memo and, in turn, by the capped phased closure
+# it replaced — median/min ms, memo classes and expressions,
+# candidates, best cost, GETs of the best plan, and the best cost of
+# the exhaustive closure. Writes BENCH_plan.json in the current
+# directory; exits nonzero on a W0401 or on a best cost above the
+# exhaustive closure's (never on timing).
+bench-plan:
+	dune exec bench/main.exe -- plan
+
+bench-all: bench-kernel bench-fetch bench-exec bench-server bench-analyze bench-churn bench-views bench-bindings bench-plan
 
 # The CI entry point: ./ci.sh (strict gate + full test suite under the
 # ci dune profile).

@@ -3,7 +3,8 @@
    paper-vs-measured) and runs bechamel wall-clock timings of the
    optimizer and evaluator.
 
-   Usage:  main.exe [exp1 … exp8 | all | timings]
+   Usage:  main.exe [exp1 … exp10 | all | timings | kernel | fetch | exec
+                     | server | analyze | churn | views | bindings | plan]
    Default: all experiments followed by timings. *)
 
 open Webviews
@@ -2075,6 +2076,224 @@ let bindings_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Planning: the memo of plan classes                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Examples 7.1 / 7.2, Figure 2 and the fourteen shapes of perfbench's
+   ad hoc workload, with constants from the generator's ground truth. *)
+let plan_queries u =
+  let module U = Sitegen.University in
+  let dept = (List.hd (U.depts u)).U.d_name in
+  let prof = (List.nth (U.profs u) 3).U.p_name in
+  let course = (List.nth (U.courses u) 5).U.c_name in
+  let session = List.hd (U.sessions u) in
+  [ ("example_7_1", sql_71); ("example_7_2", sql_72); ("figure_2", sql_fig2) ]
+  @ List.mapi
+      (fun i sql -> (Fmt.str "adhoc_%02d" (i + 1), sql))
+      [
+        Fmt.str "SELECT p.Email, p.Rank FROM Professor p WHERE p.PName = '%s'" prof;
+        "SELECT p.PName, p.Email FROM Professor p WHERE p.Rank = 'Associate'";
+        Fmt.str "SELECT d.DName, d.Address FROM Dept d WHERE d.DName = '%s'" dept;
+        Fmt.str "SELECT c.Description, c.Type FROM Course c WHERE c.CName = '%s'" course;
+        Fmt.str
+          "SELECT c.CName, c.Description FROM Course c WHERE c.Session = '%s' AND c.Type \
+           = 'Graduate'"
+          session;
+        Fmt.str "SELECT ci.CName FROM CourseInstructor ci WHERE ci.PName = '%s'" prof;
+        Fmt.str
+          "SELECT p.PName, p.Email FROM Professor p, ProfDept d WHERE p.PName = d.PName AND \
+           d.DName = '%s' AND p.Rank = 'Full'"
+          dept;
+        Fmt.str
+          "SELECT c.CName, ci.PName FROM Course c, CourseInstructor ci WHERE c.CName = \
+           ci.CName AND c.Session = '%s'"
+          session;
+        Fmt.str
+          "SELECT c.Session, c.Type FROM Course c, CourseInstructor ci WHERE c.CName = \
+           ci.CName AND ci.PName = '%s'"
+          prof;
+        Fmt.str
+          "SELECT p.Email FROM Professor p, CourseInstructor ci WHERE p.PName = ci.PName \
+           AND ci.CName = '%s'"
+          course;
+        Fmt.str
+          "SELECT c.CName, c.Description FROM Professor p, CourseInstructor ci, Course c \
+           WHERE p.PName = ci.PName AND ci.CName = c.CName AND c.Session = '%s' AND p.Rank \
+           = 'Assistant'"
+          session;
+        Fmt.str
+          "SELECT c.CName, c.Type FROM Course c, CourseInstructor ci, ProfDept pd WHERE \
+           c.CName = ci.CName AND ci.PName = pd.PName AND pd.DName = '%s'"
+          dept;
+        Fmt.str
+          "SELECT p.PName, p.Email FROM Course c, CourseInstructor ci, Professor p, \
+           ProfDept pd WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = \
+           pd.PName AND pd.DName = '%s' AND c.Type = 'Undergraduate'"
+          dept;
+        Fmt.str
+          "SELECT p.PName FROM Course c, CourseInstructor ci, Professor p, ProfDept pd \
+           WHERE c.CName = ci.CName AND ci.PName = p.PName AND p.PName = pd.PName AND \
+           pd.DName = '%s' AND c.Session = '%s'"
+          dept session;
+      ]
+
+(* The same queries planned by commit 08f1d17, the parent of the memo
+   (phased whole-plan closure, per-phase caps join 1500 / selection and
+   projection 400): median and minimum wall-clock planning ms over 15
+   runs (the lowest of three runs of each, since on a shared host the
+   same program's medians moved by up to 40% between runs minutes
+   apart), best cost, GETs of the best plan, W0401 findings. Measured on
+   the host that produced the committed BENCH_plan.json (2 vCPUs, OCaml
+   5.1.1) by a program running this suite's loop against that commit; a
+   regenerated file on another host keeps them as recorded. The
+   [phased_capped] column — the parent's algorithm, timed in turn with
+   the memo in the same process — is the like-for-like comparison. *)
+let plan_parent =
+  [
+    ("example_7_1", 34.908, 24.314, 28.56, 27, 0);
+    ("example_7_2", 136.303, 104.119, 27.33, 17, 2);
+    ("figure_2", 26.772, 22.328, 25.33, 15, 0);
+    ("adhoc_01", 0.058, 0.054, 2.00, 2, 0);
+    ("adhoc_02", 0.037, 0.034, 21.00, 21, 0);
+    ("adhoc_03", 0.064, 0.063, 2.00, 2, 0);
+    ("adhoc_04", 0.062, 0.060, 5.00, 5, 0);
+    ("adhoc_05", 0.266, 0.209, 18.67, 16, 0);
+    ("adhoc_06", 0.096, 0.091, 2.00, 2, 0);
+    ("adhoc_07", 1.368, 1.059, 8.67, 6, 0);
+    ("adhoc_08", 3.221, 3.081, 18.67, 16, 0);
+    ("adhoc_09", 1.920, 1.813, 4.50, 6, 0);
+    ("adhoc_10", 0.774, 0.712, 6.00, 6, 0);
+    ("adhoc_11", 27.196, 23.455, 28.56, 24, 0);
+    ("adhoc_12", 28.625, 25.818, 25.33, 15, 0);
+    ("adhoc_13", 142.855, 118.348, 27.33, 17, 2);
+    ("adhoc_14", 125.524, 106.573, 27.33, 17, 2);
+  ]
+
+(* The checkout's commit, "-dirty" when the tree has uncommitted
+   changes. *)
+let git_commit () =
+  let dir = Filename.dirname Sys.executable_name in
+  match
+    Unix.open_process_args_in "git"
+      [| "git"; "-C"; dir; "describe"; "--always"; "--dirty"; "--abbrev=7" |]
+  with
+  | ic ->
+    let line = try input_line ic with End_of_file -> "unknown" in
+    (match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> "unknown")
+  | exception Unix.Unix_error _ -> "unknown"
+
+let plan_bench () =
+  banner "Planning: the memo of plan classes vs the capped phased closure";
+  let u = Sitegen.University.build () in
+  let schema = Sitegen.University.schema and registry = Sitegen.University.view in
+  let site = Sitegen.University.site u in
+  let stats = Stats.of_instance (Websim.Crawler.crawl schema (Websim.Http.connect site)) in
+  let runs = 15 in
+  let ms f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    (Unix.gettimeofday () -. t0) *. 1000.0
+  in
+  let median l = List.nth (List.sort Float.compare l) (List.length l / 2) in
+  let minimum l = List.fold_left Float.min infinity l in
+  let w0401 (o : Planner.outcome) =
+    List.length (List.filter (fun d -> d.Diagnostic.code = "W0401") o.Planner.diagnostics)
+  in
+  let rows =
+    List.map
+      (fun (name, sql) ->
+        let q = Sql_parser.parse registry sql in
+        let memo = Planner.enumerate schema stats registry q in
+        let capped = Plan_oracle.enumerate schema stats registry q in
+        (* the memo and the capped phased closure, run by run in turn so
+           both see the same machine *)
+        let times =
+          List.init runs (fun _ ->
+              let m = ms (fun () -> Planner.enumerate schema stats registry q) in
+              let c = ms (fun () -> Plan_oracle.enumerate schema stats registry q) in
+              (m, c))
+        in
+        (* the exhaustive phased closure: caps raised until no phase is
+           truncated *)
+        let rec exhaustive cap =
+          let o = Plan_oracle.enumerate ~cap schema stats registry q in
+          if w0401 o > 0 then exhaustive (cap * 4) else o
+        in
+        let oracle = exhaustive 5000 in
+        let _, gets, _ = measure_plan schema site memo.Planner.best.Planner.expr in
+        (name, sql, memo, capped, List.map fst times, List.map snd times, oracle, gets))
+      (plan_queries u)
+  in
+  print_table
+    [ "query"; "memo ms (med/min)"; "groups"; "exprs"; "cands"; "cost"; "GETs";
+      "capped ms (med/min)"; "capped cost"; "W0401"; "exhaustive cost" ]
+    (List.map
+       (fun (name, _, (m : Planner.outcome), (c : Planner.outcome), mt, ct, (o : Planner.outcome), gets) ->
+         [ name; Fmt.str "%.2f / %.2f" (median mt) (minimum mt);
+           string_of_int m.Planner.explored; string_of_int m.Planner.expressions;
+           string_of_int (List.length m.Planner.candidates);
+           Fmt.str "%.2f" m.Planner.best.Planner.cost; string_of_int gets;
+           Fmt.str "%.2f / %.2f" (median ct) (minimum ct);
+           Fmt.str "%.2f" c.Planner.best.Planner.cost; string_of_int (w0401 c);
+           Fmt.str "%.2f" o.Planner.best.Planner.cost ])
+       rows);
+  let truncated = List.exists (fun (_, _, m, _, _, _, _, _) -> w0401 m > 0) rows in
+  let above_oracle =
+    List.filter
+      (fun (_, _, (m : Planner.outcome), _, _, _, (o : Planner.outcome), _) ->
+        m.Planner.best.Planner.cost > o.Planner.best.Planner.cost +. 1e-9)
+      rows
+  in
+  let query (name, sql, (m : Planner.outcome), (c : Planner.outcome), mt, ct, (o : Planner.outcome), gets) =
+    let parent =
+      match List.find_opt (fun (n, _, _, _, _, _) -> n = name) plan_parent with
+      | Some (_, med, mn, cost, pgets, w) ->
+        J.Obj
+          [ "median_ms", J.Fixed (3, med); "min_ms", J.Fixed (3, mn);
+            "best_cost", J.Fixed (2, cost); "gets", J.Int pgets; "w0401", J.Int w ]
+      | None -> J.Null
+    in
+    J.Obj
+      [ "name", J.String name; "sql", J.String sql;
+        "memo",
+        J.Obj
+          [ "median_ms", J.Fixed (3, median mt); "min_ms", J.Fixed (3, minimum mt);
+            "groups", J.Int m.Planner.explored; "expressions", J.Int m.Planner.expressions;
+            "candidates", J.Int (List.length m.Planner.candidates);
+            "merged", J.Int m.Planner.merged;
+            "best_cost", J.Fixed (2, m.Planner.best.Planner.cost); "gets", J.Int gets;
+            "w0401", J.Int (w0401 m) ];
+        "phased_capped",
+        J.Obj
+          [ "median_ms", J.Fixed (3, median ct); "min_ms", J.Fixed (3, minimum ct);
+            "candidates", J.Int (List.length c.Planner.candidates);
+            "best_cost", J.Fixed (2, c.Planner.best.Planner.cost); "w0401", J.Int (w0401 c) ];
+        "exhaustive", J.Obj [ "best_cost", J.Fixed (2, o.Planner.best.Planner.cost) ];
+        "parent", parent ]
+  in
+  write_json "BENCH_plan.json"
+    (J.Obj
+       [ "environment",
+         J.Obj
+           [ "commit", J.String (git_commit ()); "ocaml", J.String Sys.ocaml_version;
+             "nproc", J.Int (Domain.recommended_domain_count ()); "runs", J.Int runs;
+             "parent_commit", J.String "08f1d17";
+             "clock", J.String "wall-clock ms per Planner.enumerate call, after one warm-up" ];
+         "queries", J.List (List.map query rows);
+         "acceptance",
+         J.Obj
+           [ "no_w0401", J.Bool (not truncated);
+             "best_cost_at_most_exhaustive", J.Bool (above_oracle = []) ] ]);
+  Fmt.pr "@.wrote BENCH_plan.json (%d queries)@." (List.length rows);
+  if truncated || above_oracle <> [] then begin
+    List.iter
+      (fun (name, _, _, _, _, _, _, _) -> Fmt.epr "%s: best cost above the exhaustive closure's@." name)
+      above_oracle;
+    Fmt.epr "bench-plan acceptance FAILED@.";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -2102,13 +2321,14 @@ let () =
   | [ "churn" ] -> churn_bench ()
   | [ "views" ] -> views_bench ()
   | [ "bindings" ] -> bindings_bench ()
+  | [ "plan" ] -> plan_bench ()
   | names ->
     List.iter
       (fun name ->
         match List.assoc_opt name experiments with
         | Some f -> f ()
         | None ->
-          Fmt.epr "unknown experiment %S (have: %s, all, timings, kernel, fetch, exec, server, analyze, churn, views, bindings)@." name
+          Fmt.epr "unknown experiment %S (have: %s, all, timings, kernel, fetch, exec, server, analyze, churn, views, bindings, plan)@." name
             (String.concat ", " (List.map fst experiments));
           exit 1)
       names

@@ -4,9 +4,9 @@
 
      webviews scheme   [--site ...]
      webviews crawl    [--site ...]
-     webviews plan     [--site ...] [--candidates N] [--cap N] "SELECT ..."
-     webviews explain  [--site ...] [--physical] [--window N] [--cap N] "SELECT ..."
-     webviews query    [--site ...] [--cap N] "SELECT ..."
+     webviews plan     [--site ...] [--candidates N] "SELECT ..."
+     webviews explain  [--site ...] [--physical] [--window N] "SELECT ..."
+     webviews query    [--site ...] "SELECT ..."
      webviews run      [--site ...] [--faults R] [--latency] [--window N]
                        [--retries N] [--limit N] "SELECT ..."
      webviews serve    [--site ...] [--workload FILE | --queries N]
@@ -17,7 +17,7 @@
                        [--maintenance incremental|full-refresh|none]
                        [--queries N] [--json] [--fail-on-violation]
      webviews matview  [--site ...] "SELECT ..."
-     webviews check    [--site ...] [--cap N] [--strict] ["SELECT ..." ...]
+     webviews check    [--site ...] [--strict] ["SELECT ..." ...]
      webviews analyze  [--site ...] [--format text|json] [--strict]
                        ["SELECT ..." ...]
 
@@ -158,12 +158,6 @@ let seed_arg =
 let sql_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc:"The query.")
 
-let cap_arg =
-  Arg.(value & opt (some int) None & info [ "cap" ] ~docv:"N"
-         ~doc:"Override the planner's per-phase plan-space caps (join 1500, \
-               selection/projection 400). Hitting a cap is reported as a \
-               $(b,W0401) diagnostic.")
-
 let views_arg =
   Arg.(value & flag & info [ "views" ]
          ~doc:"Materialize the site's registered views first and offer them \
@@ -171,21 +165,35 @@ let views_arg =
                light-connection economics); a chosen substitution is \
                reported with its residual predicate and HEAD/GET split.")
 
+let reject ds =
+  List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) ds;
+  exit 2
+
 (* Front-end gate of the commands that plan one query: SQL the parser
    rejects ends the command with typed diagnostics on stderr — the
    query lint's E0308 (malformed SQL) or E03xx (unknown relation or
-   attribute) — and exit code 2, never an uncaught parser exception. *)
+   attribute) — and exit code 2, never an uncaught parser exception.
+   So does a query a form-only site cannot answer: the binding lint's
+   E0111 names what no chain of forms can bind. *)
 let front_end loaded sql =
   match Sql_parser.parse loaded.registry sql with
-  | _ -> ()
+  | q -> (
+    match Diagnostic.errors (binding_lint loaded q) with
+    | [] -> ()
+    | ds -> reject ds)
   | exception Sql_parser.Parse_error msg ->
-    let ds =
-      match Diagnostic.errors (Typecheck.lint_sql loaded.schema loaded.registry sql) with
+    reject
+      (match Diagnostic.errors (Typecheck.lint_sql loaded.schema loaded.registry sql) with
       | [] -> [ Diagnostic.error ~code:"E0308" "SQL parse error: %s" msg ]
-      | ds -> ds
-    in
-    List.iter (fun d -> Fmt.epr "%a@." Diagnostic.pp d) ds;
-    exit 2
+      | ds -> ds)
+
+(* Planning behind the front-end gate: a query the planner finds no
+   computable plan for exits 2 with E0309 (as [check] reports it). *)
+let planned f =
+  match f () with
+  | r -> r
+  | exception Invalid_argument msg ->
+    reject [ Diagnostic.error ~code:"E0309" "planning failed: %s" msg ]
 
 let with_site f site depts profs courses seed =
   f (load site ~depts ~profs ~courses ~seed)
@@ -222,14 +230,15 @@ let crawl_cmd =
     (site_args run)
 
 let plan_cmd =
-  let run cap n dot sql loaded =
+  let run n dot sql loaded =
     if loaded.registry = [] then Fmt.epr "this site has no external view@."
     else begin
       front_end loaded sql;
       let stats = stats_of loaded in
       let outcome =
-        Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
-          loaded.registry sql
+        planned (fun () ->
+            Planner.plan_sql ?bindings:(bindings_of loaded) loaded.schema stats
+              loaded.registry sql)
       in
       if dot then Fmt.pr "%s@." (Explain.to_dot outcome.Planner.best.Planner.expr)
       else begin
@@ -256,22 +265,27 @@ let plan_cmd =
            ~doc:"Emit the best plan as a Graphviz digraph instead of text.")
   in
   Cmd.v
-    (Cmd.info "plan" ~doc:"Show the optimizer's candidate navigation plans for a query.")
-    Term.(const (fun site depts profs courses seed cap n dot sql ->
-              with_site (run cap n dot sql) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg $ n_arg
+    (Cmd.info "plan"
+       ~doc:
+         "Show the optimizer's candidate navigation plans for a query: the \
+          cheapest plan of each semantic class, from an exhaustive search of \
+          the rewrite rules (no plan-space cap), cheapest first.")
+    Term.(const (fun site depts profs courses seed n dot sql ->
+              with_site (run n dot sql) site depts profs courses seed)
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ n_arg
           $ dot_arg $ sql_arg)
 
 let explain_cmd =
-  let run cap physical window use_views sql loaded =
+  let run physical window use_views sql loaded =
     front_end loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let econ = Option.map Viewstore.econ vs in
     let outcome =
-      Planner.plan_sql ?cap
-        ?views:(Option.map Viewstore.context vs)
-        ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry sql
+      planned (fun () ->
+          Planner.plan_sql
+            ?views:(Option.map Viewstore.context vs)
+            ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry sql)
     in
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Explain.pp_outcome outcome;
@@ -314,25 +328,26 @@ let explain_cmd =
           per-operator estimated vs actual counters. With $(b,--views) \
           registered views compete as access paths and any substitution in \
           the winning plan is reported.")
-    Term.(const (fun site depts profs courses seed cap physical window use_views sql ->
-              with_site (run cap physical window use_views sql) site depts profs
+    Term.(const (fun site depts profs courses seed physical window use_views sql ->
+              with_site (run physical window use_views sql) site depts profs
                 courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ physical_arg $ window_arg $ views_arg $ sql_arg)
 
 let query_cmd =
-  let run cap use_views sql loaded =
+  let run use_views sql loaded =
     front_end loaded sql;
     let stats = stats_of loaded in
     let vs = if use_views then Some (viewstore_of loaded) else None in
     let http = Websim.Http.connect loaded.site in
     let source = Eval.live_source loaded.schema http in
     let outcome, result =
-      Planner.run ?cap
-        ?views:(Option.map Viewstore.context vs)
-        ?exec_views:(Option.map Viewstore.answerer vs)
-        ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry
-        source sql
+      planned (fun () ->
+          Planner.run
+            ?views:(Option.map Viewstore.context vs)
+            ?exec_views:(Option.map Viewstore.answerer vs)
+            ?bindings:(bindings_of loaded) loaded.schema stats loaded.registry
+            source sql)
     in
     Fmt.pr "%a@." Explain.pp_outcome outcome;
     Fmt.pr "plan (cost %.2f):@.%a@.@." outcome.Planner.best.Planner.cost Nalg.pp_plan
@@ -352,13 +367,13 @@ let query_cmd =
           $(b,--views) the registered views are materialized first and \
           compete as access paths; a chosen view scan answers from the local \
           store after bounded HEAD revalidation.")
-    Term.(const (fun site depts profs courses seed cap use_views sql ->
-              with_site (run cap use_views sql) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+    Term.(const (fun site depts profs courses seed use_views sql ->
+              with_site (run use_views sql) site depts profs courses seed)
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ views_arg $ sql_arg)
 
 let run_cmd =
-  let run faults latency window retries net_seed cap limit sql loaded =
+  let run faults latency window retries net_seed limit sql loaded =
     front_end loaded sql;
     let stats = stats_of loaded in
     let http = Websim.Http.connect loaded.site in
@@ -372,8 +387,9 @@ let run_cmd =
     let config = Websim.Fetcher.config ~window ~retries () in
     let fetcher = Websim.Fetcher.create ~config ?netmodel http in
     let outcome =
-      Planner.plan_sql ?cap ?bindings:(bindings_of loaded) loaded.schema stats
-        loaded.registry sql
+      planned (fun () ->
+          Planner.plan_sql ?bindings:(bindings_of loaded) loaded.schema stats
+            loaded.registry sql)
     in
     let best = outcome.Planner.best.Planner.expr in
     Fmt.pr "plan (cost %.2f, predicted %.0f ms at window %d):@.%a@.@."
@@ -423,11 +439,11 @@ let run_cmd =
           both cost ledgers (page accesses and fetch-engine counters) and \
           the simulated elapsed time.")
     Term.(const (fun site depts profs courses seed faults latency window retries
-                     net_seed cap limit sql ->
-              with_site (run faults latency window retries net_seed cap limit sql)
+                     net_seed limit sql ->
+              with_site (run faults latency window retries net_seed limit sql)
                 site depts profs courses seed)
           $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ faults_arg
-          $ latency_arg $ window_arg $ retries_arg $ net_seed_arg $ cap_arg
+          $ latency_arg $ window_arg $ retries_arg $ net_seed_arg
           $ limit_arg $ sql_arg)
 
 let matview_cmd =
@@ -442,7 +458,7 @@ let matview_cmd =
     let http = Websim.Http.connect loaded.site in
     let mv = Matview.materialize loaded.schema http in
     Fmt.pr "materialized %d pages@.@." (Matview.total_pages mv);
-    let outcome = Planner.plan_sql loaded.schema stats loaded.registry sql in
+    let outcome = planned (fun () -> Planner.plan_sql loaded.schema stats loaded.registry sql) in
     let report = Matview.query_counted mv outcome.Planner.best.Planner.expr in
     Fmt.pr "%a@.@." Adm.Relation.pp
       (Planner.rename_output outcome report.Matview.result);
@@ -510,7 +526,7 @@ let strict_arg =
                (errors always exit 2).")
 
 let check_cmd =
-  let run cap strict sqls loaded =
+  let run strict sqls loaded =
     let section title = function
       | [] -> Fmt.pr "%s: ok@." title
       | ds ->
@@ -544,7 +560,7 @@ let check_cmd =
             if Diagnostic.has_errors lint || loaded.registry = [] then []
             else
               match
-                Planner.plan_sql ?cap ?bindings:(bindings_of loaded)
+                Planner.plan_sql ?bindings:(bindings_of loaded)
                   loaded.schema (Lazy.force stats) loaded.registry sql
               with
               | outcome -> outcome.Planner.diagnostics
@@ -574,9 +590,9 @@ let check_cmd =
           rewrite-soundness differential check enabled. Exits 2 on any \
           error-severity diagnostic, 1 with $(b,--strict) when only \
           warnings remain, else 0.")
-    Term.(const (fun site depts profs courses seed cap strict sqls ->
-              with_site (run cap strict sqls) site depts profs courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+    Term.(const (fun site depts profs courses seed strict sqls ->
+              with_site (run strict sqls) site depts profs courses seed)
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ strict_arg $ sqls_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -592,7 +608,7 @@ let json_of_diag (d : Diagnostic.t) =
       "message", J.String d.Diagnostic.message ]
 
 let analyze_cmd =
-  let run cap strict format use_views sqls loaded =
+  let run strict format use_views sqls loaded =
     let json = format = "json" in
     let index = Viewmatch.make loaded.registry in
     let registry_diags = Diagnostic.dedup (Viewmatch.registry_lint index) in
@@ -616,7 +632,7 @@ let analyze_cmd =
             let bindings_lint = binding_lint loaded q in
             let planned =
               match
-                Planner.plan_sql ?cap
+                Planner.plan_sql
                   ?views:(Option.map Viewstore.context vs)
                   ?bindings:(bindings_of loaded) loaded.schema
                   (Lazy.force stats) loaded.registry sql
@@ -747,10 +763,10 @@ let analyze_cmd =
           substitutions are reported (JSON: per-query \
           $(b,substitutions)). Exits 2 on any error, 1 with $(b,--strict) \
           when only warnings remain, else 0.")
-    Term.(const (fun site depts profs courses seed cap strict format use_views sqls ->
-              with_site (run cap strict format use_views sqls) site depts profs
+    Term.(const (fun site depts profs courses seed strict format use_views sqls ->
+              with_site (run strict format use_views sqls) site depts profs
                 courses seed)
-          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg $ cap_arg
+          $ site_arg $ depts_arg $ profs_arg $ courses_arg $ seed_arg
           $ strict_arg $ format_arg $ views_arg $ sqls_arg)
 
 (* ------------------------------------------------------------------ *)

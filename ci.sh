@@ -72,7 +72,18 @@ repo_dir=$(pwd)
 sed -n '/^path views/,/^$/p' "$ci_bench_dir/out"
 rm -rf "$ci_bench_dir"
 
-echo "== smoke front end: bad SQL exits 2 with a diagnostic code, never 125 =="
+echo "== bench plan: no truncated search, best costs equal to the exhaustive closure's =="
+# Same scratch-directory discipline as the bindings step; the benchmark
+# exits nonzero on any W0401 or on a best cost above the exhaustive
+# phased closure's. Timing is reported, not gated.
+ci_bench_dir=$(mktemp -d)
+( cd "$ci_bench_dir" && dune exec --root "$repo_dir" --profile ci bench/main.exe -- plan ) \
+  > "$ci_bench_dir/out" 2>&1 \
+  || { cat "$ci_bench_dir/out"; rm -rf "$ci_bench_dir"; exit 1; }
+sed -n '/^query /,/^$/p' "$ci_bench_dir/out"
+rm -rf "$ci_bench_dir"
+
+echo "== smoke front end: bad SQL or an unanswerable form query exits 2 with a diagnostic code, never 125 =="
 for bad in "SELEC x" "SELECT z.Foo FROM Nope z"; do
   status=0
   dune exec --profile ci bin/webviews_cli.exe -- query "$bad" \
@@ -83,6 +94,21 @@ for bad in "SELEC x" "SELECT z.Foo FROM Nope z"; do
   fi
   grep -q "error\[E03[0-9][0-9]\]" /tmp/ci_front_end.$$ \
     || { echo "no diagnostic code for \"$bad\""; cat /tmp/ci_front_end.$$; rm -f /tmp/ci_front_end.$$; exit 1; }
+  head -n 1 /tmp/ci_front_end.$$
+done
+# a form-only query no composition of forms answers: E0111, exit 2,
+# on every command that plans a query
+for cmd in query plan explain; do
+  status=0
+  dune exec --profile ci bin/webviews_cli.exe -- "$cmd" --site formsite \
+    "SELECT P.PName FROM Professor P WHERE P.Office = 'Bldg A, room 100'" \
+    > /tmp/ci_front_end.$$ 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "$cmd on an unanswerable form-only query exited $status, expected 2"
+    cat /tmp/ci_front_end.$$; rm -f /tmp/ci_front_end.$$; exit 1
+  fi
+  grep -qE "error\[E(0111|0309)\]" /tmp/ci_front_end.$$ \
+    || { echo "no E0111/E0309 from $cmd"; cat /tmp/ci_front_end.$$; rm -f /tmp/ci_front_end.$$; exit 1; }
   head -n 1 /tmp/ci_front_end.$$
 done
 rm -f /tmp/ci_front_end.$$

@@ -752,7 +752,8 @@ let occ_sig (t : tableau) i =
    terminated, or length-prefixed, so distinct structures never
    encode alike. *)
 let put_int b i =
-  Buffer.add_string b (string_of_int i);
+  if i >= 0 && i < 10 then Buffer.add_char b (Char.unsafe_chr (48 + i))
+  else Buffer.add_string b (string_of_int i);
   Buffer.add_char b ','
 
 let put_str b s =
@@ -883,38 +884,53 @@ let refine (t : tableau) (outputs : term list) sigs consts =
    position). Sets are written sorted, so the encoding depends only on
    the renumbered tableau. *)
 let encode (t : tableau) (outputs : term list) sigs consts label =
-  let b = Buffer.create 256 in
+  let b = Buffer.create 512 in
   let rel (o, p) = (label.(o), p) in
   let by_label = Array.make (Array.length sigs) "" in
   Array.iteri (fun i s -> by_label.(label.(i)) <- s) sigs;
   put_list b put_str (Array.to_list by_label);
+  (* the orders below are the polymorphic [compare] orders, spelled out *)
+  let steps_compare = List.compare String.compare in
   put_list b
     (fun b (s, steps, d) ->
       put_int b s;
       put_list b put_str steps;
       put_int b d)
-    (List.sort compare (List.map (fun (s, steps, d) -> (label.(s), steps, label.(d))) t.navs));
-  put_list b put_term (List.sort compare (List.map rel t.unnests));
-  let members c = List.sort compare (List.map rel t.classes.(c).members) in
+    (List.sort
+       (fun (s1, p1, d1) (s2, p2, d2) ->
+         match Int.compare s1 s2 with
+         | 0 -> ( match steps_compare p1 p2 with 0 -> Int.compare d1 d2 | c -> c)
+         | c -> c)
+       (List.map (fun (s, steps, d) -> (label.(s), steps, label.(d))) t.navs));
+  put_list b put_term (List.sort term_compare (List.map rel t.unnests));
+  let members =
+    Array.map (fun (c : cls) -> List.sort term_compare (List.map rel c.members)) t.classes
+  in
   put_list b
     (fun b (ms, consts) ->
       put_list b put_term ms;
       put_str b consts)
-    (List.sort compare
-       (List.init (Array.length t.classes) (fun c ->
-            (members c, consts.(c)))));
+    (List.sort
+       (fun (m1, c1) (m2, c2) ->
+         match List.compare term_compare m1 m2 with 0 -> String.compare c1 c2 | c -> c)
+       (List.init (Array.length t.classes) (fun c -> (members.(c), consts.(c)))));
   put_list b
     (fun b (x, cmp, y) ->
       put_term b x;
       put_str b (Pred.cmp_to_string cmp);
       put_term b y)
-    (List.sort compare (List.map (fun (x, cmp, y) -> (rel x, cmp, rel y)) t.residuals));
+    (List.sort
+       (fun (x1, c1, y1) (x2, c2, y2) ->
+         match term_compare x1 x2 with
+         | 0 -> ( match compare c1 c2 with 0 -> term_compare y1 y2 | c -> c)
+         | c -> c)
+       (List.map (fun (x, cmp, y) -> (rel x, cmp, rel y)) t.residuals));
   put_list b
     (fun b o ->
       match Hashtbl.find_opt t.cls_of o with
       | Some c ->
         Buffer.add_char b 'c';
-        put_list b put_term (members c)
+        put_list b put_term members.(c)
       | None ->
         Buffer.add_char b 't';
         put_term b (rel o))

@@ -41,21 +41,32 @@ let no_views = { head_unit = 0.1; view = (fun _ -> None) }
 let view_scan_cost (econ : view_econ) (vc : view_cost) =
   vc.view_pages *. vc.view_stale *. (econ.head_unit +. vc.view_change)
 
-let attr_path (e : Nalg.expr) attr =
-  match Nalg.constraint_path_of_attr e attr with
-  | Some (path, _alias) -> Some path
-  | None -> None
+(* The constraint path of an attribute of [root], resolved through its
+   alias environment — read once per resolver, not once per lookup. *)
+let resolver (root : Nalg.expr) =
+  let env = Nalg.alias_env root in
+  let aliases = List.map fst env in
+  fun attr ->
+    match Nalg.split_attr aliases attr with
+    | None -> None
+    | Some (alias, steps) ->
+      Option.map (fun scheme -> Adm.Constraints.path scheme steps) (List.assoc_opt alias env)
 
-(* c_A for an attribute of the current expression, resolved through
-   the alias environment; None when the statistics don't know it. *)
-let distinct_of (stats : Stats.t) (root : Nalg.expr) attr =
-  match attr_path root attr with
+(* c_A for an attribute, its path given by [path_of]; None when the
+   statistics don't know it. *)
+let distinct_by (stats : Stats.t) path_of attr =
+  match path_of attr with
   | None -> None
   | Some p ->
     let k = Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps in
     if Stats.has_distinct stats k then Some (Stats.distinct stats k) else None
 
-let selectivity_of_atom stats root (a : Pred.atom) =
+(* c_A for an attribute of the current expression, resolved through
+   the alias environment; None when the statistics don't know it. *)
+let distinct_of (stats : Stats.t) (root : Nalg.expr) attr =
+  distinct_by stats (resolver root) attr
+
+let selectivity_of_atom stats path_of (a : Pred.atom) =
   let attr_side =
     match a.Pred.left, a.Pred.right with
     | Pred.Attr attr, Pred.Const _ | Pred.Const _, Pred.Attr attr -> Some attr
@@ -65,7 +76,7 @@ let selectivity_of_atom stats root (a : Pred.atom) =
   | Pred.Eq -> (
     match attr_side with
     | Some attr -> (
-      match distinct_of stats root attr with
+      match distinct_by stats path_of attr with
       | Some c -> 1.0 /. float_of_int (max 1 c)
       | None -> 0.1)
     | None -> 0.1)
@@ -75,27 +86,29 @@ let selectivity_of_atom stats root (a : Pred.atom) =
 (* Estimated number of distinct values of [attr] within an
    intermediate result of cardinality [card]: bounded by the global
    distinct count c_A. This is |π_attr(R)| = |R| / r_A capped at c_A. *)
-let distinct_in stats root attr card =
-  match distinct_of stats root attr with
+let distinct_in stats path_of attr card =
+  match distinct_by stats path_of attr with
   | Some c -> Float.min card (float_of_int c)
   | None -> card
 
 (* Join selectivity: 1 / max(c_A, c_B), the System-R uniform estimate
    (the paper treats it as a given parameter). *)
-let join_selectivity stats root keys =
+let selectivity_by stats path_of keys =
   List.fold_left
     (fun acc (a, b) ->
-      let ca = match distinct_of stats root a with Some c -> c | None -> 10 in
-      let cb = match distinct_of stats root b with Some c -> c | None -> 10 in
+      let ca = match distinct_by stats path_of a with Some c -> c | None -> 10 in
+      let cb = match distinct_by stats path_of b with Some c -> c | None -> 10 in
       acc /. float_of_int (max 1 (max ca cb)))
     1.0 keys
+
+let join_selectivity stats root keys = selectivity_by stats (resolver root) keys
 
 (* Distinct argument combinations a parameterized call issues: one
    templated GET per distinct tuple of [Arg_attr] values drawn from
    the source (constant-only calls fetch a single page). The product
    of per-attribute distinct counts, capped by the source cardinality
    — the same shape as the Follow estimate. *)
-let call_navigations stats root (c : Nalg.call) src_card =
+let call_navigations stats path_of (c : Nalg.call) src_card =
   let attr_args =
     List.filter_map
       (function _, Nalg.Arg_attr a -> Some a | _, Nalg.Arg_const _ -> None)
@@ -105,13 +118,14 @@ let call_navigations stats root (c : Nalg.call) src_card =
   | [] -> 1.0
   | args ->
     let product =
-      List.fold_left (fun acc a -> acc *. distinct_in stats root a src_card) 1.0 args
+      List.fold_left (fun acc a -> acc *. distinct_in stats path_of a src_card) 1.0 args
     in
     Float.max 1.0 (Float.min src_card product)
 
-let rec estimate ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
-    (root : Nalg.expr) (e : Nalg.expr) : estimate =
-  let estimate = estimate ~views in
+(* One node's estimate from its children's ([sub]), attributes resolved
+   by [path_of]. *)
+let node_estimate ~views (schema : Adm.Schema.t) (stats : Stats.t) ~path_of ~sub
+    (e : Nalg.expr) : estimate =
   match e with
   | Nalg.External { name; _ } -> (
     match views.view name with
@@ -125,51 +139,104 @@ let rec estimate ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
     in
     { cost = 1.0; card }
   | Nalg.Select (p, e1) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = sub e1 in
     let sel =
-      List.fold_left (fun acc a -> acc *. selectivity_of_atom stats root a) 1.0 p
+      List.fold_left (fun acc a -> acc *. selectivity_of_atom stats path_of a) 1.0 p
     in
     { cost; card = card *. sel }
   | Nalg.Project (attrs, e1) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = sub e1 in
     (* |π_X(R)| capped by the product of the attribute domains *)
     let cap =
       List.fold_left
         (fun acc a ->
-          match distinct_of stats root a with
+          match distinct_by stats path_of a with
           | Some c -> acc *. float_of_int c
           | None -> acc *. card)
         1.0 attrs
     in
     { cost; card = Float.max 1.0 (Float.min card cap) }
   | Nalg.Join (keys, e1, e2) ->
-    let est1 = estimate schema stats root e1 in
-    let est2 = estimate schema stats root e2 in
-    let sel = join_selectivity stats root keys in
-    {
-      cost = est1.cost +. est2.cost;
-      card = Float.max 0.0 (est1.card *. est2.card *. sel);
-    }
+    let est1 = sub e1 in
+    let est2 = sub e2 in
+    let sel = selectivity_by stats path_of keys in
+    { cost = est1.cost +. est2.cost; card = Float.max 0.0 (est1.card *. est2.card *. sel) }
   | Nalg.Unnest (e1, attr) ->
-    let { cost; card } = estimate schema stats root e1 in
+    let { cost; card } = sub e1 in
     let fanout =
-      match attr_path root attr with
+      match path_of attr with
       | Some p -> Stats.fanout stats (Stats.key p.Adm.Constraints.scheme p.Adm.Constraints.steps)
       | None -> 1.0
     in
     { cost; card = card *. fanout }
   | Nalg.Follow { src; link; scheme = _; alias = _ } ->
-    let { cost; card } = estimate schema stats root src in
-    let navigations = distinct_in stats root link card in
+    let { cost; card } = sub src in
+    let navigations = distinct_in stats path_of link card in
     { cost = cost +. navigations; card }
   | Nalg.Call { c_src = None; _ } ->
     (* a constant-bound call is a single templated GET yielding the
        one page its arguments select, like an entry point *)
     { cost = 1.0; card = 1.0 }
   | Nalg.Call ({ c_src = Some src; _ } as c) ->
-    let { cost; card } = estimate schema stats root src in
-    let navigations = call_navigations stats root c card in
+    let { cost; card } = sub src in
+    let navigations = call_navigations stats path_of c card in
     { cost = cost +. navigations; card }
+
+let estimate ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t)
+    (root : Nalg.expr) (e : Nalg.expr) : estimate =
+  let path_of = resolver root in
+  let rec go e = node_estimate ~views schema stats ~path_of ~sub:go e in
+  go e
+
+module Phys = Hashtbl.Make (struct
+  type t = Nalg.expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Estimates for the many plans of one planning run, which share
+   subtrees (the planner's memo hash-conses them): each node is
+   estimated once, the attributes it reads resolved against the aliases
+   of its own subtree — in a well-typed plan, where every attribute an
+   operator reads comes from below it, the resolution [estimate] makes
+   against the whole plan. *)
+let estimator ?(views = no_views) (schema : Adm.Schema.t) (stats : Stats.t) :
+    Nalg.expr -> estimate =
+  let envs = Phys.create 16 and memo = Phys.create 16 in
+  let rec env e =
+    match Phys.find_opt envs e with
+    | Some r -> r
+    | None ->
+      let r =
+        match e with
+        | Nalg.Entry { scheme; alias } -> [ (alias, scheme) ]
+        | Nalg.External _ -> []
+        | Nalg.Select (_, e1) | Nalg.Project (_, e1) | Nalg.Unnest (e1, _) -> env e1
+        | Nalg.Join (_, e1, e2) -> env e1 @ env e2
+        | Nalg.Follow { src; scheme; alias; _ } -> (alias, scheme) :: env src
+        | Nalg.Call { c_src; c_scheme; c_alias; _ } ->
+          (c_alias, c_scheme) :: (match c_src with None -> [] | Some s -> env s)
+      in
+      Phys.add envs e r;
+      r
+  in
+  let path_in e attr =
+    let env = env e in
+    match Nalg.split_attr (List.map fst env) attr with
+    | None -> None
+    | Some (alias, steps) ->
+      Option.map (fun scheme -> Adm.Constraints.path scheme steps) (List.assoc_opt alias env)
+  in
+  let rec go e =
+    match Phys.find_opt memo e with
+    | Some r -> r
+    | None ->
+      let r = node_estimate ~views schema stats ~path_of:(path_in e) ~sub:go e in
+      Phys.add memo e r;
+      r
+  in
+  go
 
 let cost ?views schema stats e = (estimate ?views schema stats e e).cost
 let cardinality ?views schema stats e = (estimate ?views schema stats e e).card
@@ -195,12 +262,12 @@ let rec byte_estimate ?(views = no_views) (schema : Adm.Schema.t)
     byte_estimate schema stats root e1 +. byte_estimate schema stats root e2
   | Nalg.Follow { src; link; scheme; alias = _ } ->
     let { card; _ } = estimate ~views schema stats root src in
-    let navigations = distinct_in stats root link card in
+    let navigations = distinct_in stats (resolver root) link card in
     byte_estimate schema stats root src +. (navigations *. Stats.page_bytes stats scheme)
   | Nalg.Call { c_src = None; c_scheme; _ } -> Stats.page_bytes stats c_scheme
   | Nalg.Call ({ c_src = Some src; c_scheme; _ } as c) ->
     let { card; _ } = estimate ~views schema stats root src in
-    let navigations = call_navigations stats root c card in
+    let navigations = call_navigations stats (resolver root) c card in
     byte_estimate schema stats root src
     +. (navigations *. Stats.page_bytes stats c_scheme)
 
@@ -215,14 +282,15 @@ let byte_cost ?views schema stats e = byte_estimate ?views schema stats e e
 let lower ?(views = no_views) ?window (schema : Adm.Schema.t) (stats : Stats.t)
     (e : Nalg.expr) : Physplan.plan =
   let card sub = (estimate ~views schema stats e sub).card in
+  let path_of = resolver e in
   let pages sub =
     match sub with
     | Nalg.Entry _ -> 1.0
     | Nalg.Follow { src; link; _ } ->
-      distinct_in stats e link (estimate ~views schema stats e src).card
+      distinct_in stats path_of link (estimate ~views schema stats e src).card
     | Nalg.Call { c_src = None; _ } -> 1.0
     | Nalg.Call ({ c_src = Some src; _ } as c) ->
-      call_navigations stats e c (estimate ~views schema stats e src).card
+      call_navigations stats path_of c (estimate ~views schema stats e src).card
     | Nalg.External { name; _ } -> (
       (* expected light connections: every stale page costs one HEAD *)
       match views.view name with

@@ -44,6 +44,14 @@ val estimate :
 (** [estimate schema stats root e]: estimate for subexpression [e] of
     plan [root] ([root] provides the alias environment). *)
 
+val estimator :
+  ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> estimate
+(** [estimator schema stats] estimates whole plans like [estimate schema
+    stats e e], for many plans that share subtrees: each node (by
+    physical identity) is estimated once, the attributes it reads
+    resolved against its own subtree's aliases — the same answer as
+    [estimate] for well-typed plans. Apply once per set of plans. *)
+
 val cost : ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 val cardinality : ?views:view_econ -> Adm.Schema.t -> Stats.t -> Nalg.expr -> float
 

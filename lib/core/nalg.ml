@@ -320,17 +320,18 @@ and unnested_attrs schema e1 attr =
 (* Memoized variant for callers that query output attributes of many
    overlapping subexpressions (selection sinking, pruning, the
    typechecker's soundness pass): one table per invocation, keyed by
-   structural equality, turns the naive quadratic recomputation into a
-   single bottom-up pass. *)
+   physical node — a subtree queried again is the same value — turns
+   the naive quadratic recomputation into a single bottom-up pass
+   without comparing trees. *)
 module Expr_tbl = Hashtbl.Make (struct
   type t = expr
 
-  let equal = equal
+  let equal = ( == )
   let hash = Hashtbl.hash
 end)
 
 let output_attrs_memo (schema : Adm.Schema.t) : expr -> string list =
-  let tbl = Expr_tbl.create 256 in
+  let tbl = Expr_tbl.create 32 in
   let rec go e =
     match Expr_tbl.find_opt tbl e with
     | Some attrs -> attrs

@@ -120,9 +120,10 @@ val output_attrs : Adm.Schema.t -> expr -> string list
 
 val output_attrs_memo : Adm.Schema.t -> expr -> string list
 (** Like {!output_attrs}, but each application shares one memo table
-    keyed on subexpressions (structural equality), so repeated queries
-    over overlapping subtrees cost a single bottom-up pass. Apply once
-    and reuse the closure.
+    keyed on subexpressions (physical identity: a subtree asked about
+    again is the same node), so repeated queries over overlapping
+    subtrees cost a single bottom-up pass. Apply once and reuse the
+    closure.
 
     Full static well-formedness checking lives in {!Typecheck}. *)
 

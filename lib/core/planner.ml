@@ -5,11 +5,15 @@
    2. replace each external relation with its default navigations in
       all possible ways (rule 1);
    3. eliminate repeated navigations (rule 4);
-   4. push and prune joins (rules 8 and 9);
+   4. push and prune joins (rules 8 and 9, and 2);
    5. push selections (rule 6 + commutation);
    6/7. push projections and eliminate unnecessary navigations
       (rules 7, 3, 5 — the [prune] pass);
-   8. estimate the cost of every candidate and pick the cheapest. *)
+   8. estimate the cost of every candidate and pick the cheapest.
+
+   Steps 3-7 run on a {!Memo} of plan classes: one canonical member per
+   class of plans equal up to join order, so the search is exhaustive
+   without a plan-space cap. *)
 
 type plan = { expr : Nalg.expr; cost : float; card : float }
 
@@ -37,18 +41,19 @@ type substitution = {
 
 type outcome = {
   best : plan;
-  candidates : plan list; (* all candidates, sorted by cost *)
-  explored : int;
+  candidates : plan list;
+      (* one cheapest plan per Contain.plan_key class, sorted by cost *)
+  explored : int; (* memo classes: plans distinct up to join order *)
+  expressions : int; (* rule results inserted into the memo *)
   merged : int;
-      (* candidates dropped because an equivalent (cheaper) plan kept
-         their Contain.plan_key *)
+      (* costed memo classes dropped because an equivalent (cheaper)
+         class kept their Contain.plan_key *)
   select : string list; (* the query's output attributes, in order *)
   view_used : substitution list;
       (* view substitutions of the best plan, one per External leaf;
          empty when the cost race chose pure navigation *)
   diagnostics : Diagnostic.t list;
-      (* findings of the enumeration: W0401 when a plan-space cap
-         truncated a closure phase, E0402/E0403 when a rewrite step
+      (* findings of the enumeration: E0402/E0403 when a rewrite step
          failed the soundness check, E0404 for candidates rejected as
          ill-typed before costing, E0601/W0602 from input-query
          minimization, W0605 when the best plan answers from a
@@ -66,49 +71,6 @@ let rename_output (o : outcome) rel =
   if List.length attrs = List.length o.select then
     Adm.Relation.of_arrays o.select (Adm.Relation.rows_arrays rel)
   else rel
-
-(* Closure of a set of plans under one-step rewritings, with
-   deduplication by plan identity and a safety cap. Every plan is keyed
-   once ({!Nalg.key}) as it is produced, and the key travels with it:
-   into [seen], to [on_rewrite], and out to the caller. Returns the
-   plans plus how the cap bounded the exploration: [`Complete] when the
-   queue drained, [`Truncated] when work was left queued, and
-   [`Unexplored n] when the [n] distinct seeds alone already filled the
-   cap, so the loop never ran and no rule was applied. [on_rewrite]
-   fires on every rule application, before deduplication — the planner
-   hooks the rewrite-soundness check here. *)
-let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ())
-    (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.key list) =
-  let seen = Nalg.Key_tbl.create 64 in
-  let out = ref [] in
-  let queue = Queue.create () in
-  let add k =
-    if not (Nalg.Key_tbl.mem seen k) then begin
-      Nalg.Key_tbl.replace seen k ();
-      out := k :: !out;
-      Queue.add k queue
-    end
-  in
-  List.iter add seeds;
-  let n_seeds = Nalg.Key_tbl.length seen in
-  while (not (Queue.is_empty queue)) && Nalg.Key_tbl.length seen < cap do
-    let k = Queue.pop queue in
-    List.iter
-      (fun rule ->
-        List.iter
-          (fun e' ->
-            let k' = Nalg.key e' in
-            on_rewrite ~parent:k ~child:k';
-            add k')
-          (rule k.Nalg.plan))
-      rules
-  done;
-  let bound =
-    if Queue.is_empty queue then `Complete
-    else if n_seeds >= cap then `Unexplored n_seeds
-    else `Truncated
-  in
-  (List.rev !out, bound)
 
 (* Apply a deterministic rule to fixpoint (first rewrite each round). *)
 let fixpoint ?(max_rounds = 50) (rule : Nalg.expr -> Nalg.expr list) e =
@@ -164,15 +126,12 @@ let substitutions_of (views : view_context option) (e : Nalg.expr) :
             })
       (Nalg.externals e)
 
-let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
+let enumerate ?(pointer_rules = true) ?(constraint_selections = true)
     ?(minimize = true) ?views ?bindings (schema : Adm.Schema.t)
     (stats : Stats.t) (registry : View.registry) (q : Conjunctive.t) : outcome =
   (* [pointer_rules] and [constraint_selections] exist for ablation
-     studies: without rules 8/9 (resp. rule 6) the planner falls back
-     to the constraint-blind plans. [cap], when given, overrides the
-     per-phase plan-space caps (join 1500, selection/projection 400). *)
-  let join_cap = Option.value cap ~default:1500 in
-  let other_cap = Option.value cap ~default:400 in
+     studies: without rules 2/8/9 (resp. rules 6/7) the planner falls
+     back to the constraint-blind plans. *)
   let diagnostics = ref [] in
   let diag d = diagnostics := d :: !diagnostics in
   (* View access paths: the economics snapshot prices materialized
@@ -185,47 +144,16 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let tc_views name =
     match views with None -> None | Some vc -> vc.vc_env name
   in
-  (* Rewrite soundness (E0402/E0403), with type inference memoized by
-     plan identity — each distinct plan of the closure is inferred
-     once — and at most one report per offending child plan. *)
-  let inferred = Nalg.Key_tbl.create 256 in
-  let infer_cached k =
-    match Nalg.Key_tbl.find_opt inferred k with
-    | Some r -> r
-    | None ->
-      let r = Typecheck.infer ~views:tc_views schema k.Nalg.plan in
-      Nalg.Key_tbl.add inferred k r;
-      r
-  in
-  let judged = Nalg.Key_tbl.create 256 in
+  (* Type inference once per memo class; every class a rule derives is
+     judged against the class it came from (E0402/E0403). *)
+  let estimate = Cost.estimator ~views:econ schema stats in
+  let memo = Memo.create ~weight:(fun e -> (estimate e).Cost.cost) () in
+  let inferred = Typecheck.memo () in
+  let infer_cached k = Typecheck.infer ~views:tc_views ~memo:inferred schema k.Nalg.plan in
   let on_rewrite ~parent ~child =
-    if not (Nalg.Key_tbl.mem judged child) then begin
-      Nalg.Key_tbl.add judged child ();
-      List.iter diag
-        (Typecheck.judge ~parent:(infer_cached parent)
-           ~child:(infer_cached child))
-    end
+    List.iter diag
+      (Typecheck.judge ~parent:(infer_cached parent) ~child:(infer_cached child))
   in
-  let closure_phase ~phase ~rules_named ~cap rules seeds =
-    let plans, bound = closure ~cap ~on_rewrite rules seeds in
-    (match bound with
-    | `Complete -> ()
-    | `Truncated ->
-      diag
-        (Diagnostic.warning ~code:"W0401"
-           "plan-space cap %d hit during the %s phase; enumeration truncated \
-            (raise --cap to explore further)"
-           cap phase)
-    | `Unexplored n_seeds ->
-      diag
-        (Diagnostic.warning ~code:"W0401"
-           "plan-space cap %d hit during the %s phase: its %d seed plans \
-            already fill the cap, so the phase never applied %s (raise \
-            --cap to explore further)"
-           cap phase n_seeds rules_named));
-    plans
-  in
-  let rekey f k = Nalg.key (f k.Nalg.plan) in
   (* Semantic minimization first (Contain): fold FROM occurrences
      equated on declared keys (bag-sound), normalize the WHERE
      conjunction, report provable emptiness. The minimized query has
@@ -273,49 +201,40 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       |> List.filter (fun e -> Nalg.externals e <> [])
   in
   (* Step 3: rule 4 to fixpoint on each expansion (cheap first pass) *)
-  let merged =
-    List.map (fun e -> Nalg.key (fixpoint (Rewrite.rule4 schema) e)) expanded
+  let seeds =
+    List.map (fun e -> Memo.insert memo (fixpoint (Rewrite.rule4 schema) e)) expanded
   in
-  (* Step 4: closure under join reordering and rules 4, 8, 9 (and 2);
-     reordering exposes repeated / joinable navigations that the
-     left-deep FROM-order tree hides *)
-  let join_rules =
-    [
-      Rewrite.rule4 schema;
-      Rewrite.join_commute schema;
-      Rewrite.join_rotate schema;
-    ]
-    @
-    if pointer_rules then
-      [ Rewrite.rule8 schema; Rewrite.rule9 schema; Rewrite.rule2 schema ]
-    else []
+  (* Step 4: rules 4, 8, 9 and 2 at every join node of every join
+     order — the memo's classes absorb commutation and rotation, which
+     expose repeated / joinable navigations the left-deep FROM-order
+     tree hides *)
+  let links = Memo.links memo schema in
+  let joins =
+    Memo.saturate memo ~on_rewrite
+      (Memo.join_rewrites memo
+         ~symmetric:
+           (Rewrite.rule4_at schema
+           :: (if pointer_rules then [ Rewrite.pointer_rules_at ~links schema ] else []))
+         ~oriented:(if pointer_rules then [ Rewrite.rule2_at ~links schema ] else []))
+      seeds
   in
-  let with_joins =
-    closure_phase ~phase:"join"
-      ~rules_named:
-        (if pointer_rules then "join reordering or rules 2, 4, 8, 9"
-         else "join reordering or rule 4")
-      ~cap:join_cap
-      join_rules merged
+  let stage rule classes =
+    if constraint_selections then Memo.saturate memo ~on_rewrite rule classes
+    else classes
   in
-  (* Step 5: closure under rule 6, then sink selections *)
+  let normalize f classes = List.map (fun k -> Memo.insert memo (f k.Nalg.plan)) classes in
+  (* Step 5: rule 6, then sink selections (the memo's classes share
+     their subtrees, and so does the output-attribute memo) *)
+  let out = Nalg.output_attrs_memo schema in
   let with_selections =
-    (if constraint_selections then
-       closure_phase ~phase:"selection" ~rules_named:"rule 6" ~cap:other_cap
-         [ Rewrite.rule6 schema ] with_joins
-     else with_joins)
-    |> List.map (rekey (Rewrite.sink_selections schema))
+    stage (Rewrite.rule6 schema) joins |> normalize (Rewrite.sink_selections ~out schema)
   in
   (* Steps 6/7: move projected attributes to the source side of link
      constraints (rule 7), then prune unneeded unnests and navigations
      — together these drop navigations that only read replicated
      values *)
   let with_projections =
-    (if constraint_selections then
-       closure_phase ~phase:"projection" ~rules_named:"rule 7" ~cap:other_cap
-         [ Rewrite.rule7_replace schema ] with_selections
-     else with_selections)
-    |> List.map (rekey (Rewrite.prune schema))
+    stage (Rewrite.rule7_replace schema) with_selections |> normalize (Rewrite.prune schema)
   in
   (* Step 2'': binding-pattern access paths — on sites whose data sits
      behind parameterized forms, an equivalent-rewriting search over
@@ -328,23 +247,22 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let binding_plans =
     match bindings with None -> [] | Some f -> f q_plan
   in
-  let pruned =
-    with_projections @ List.map Nalg.key (view_plans @ binding_plans)
-  in
-  (* dedup once more; typecheck gate; estimate; sort. Computability is
-     relaxed to access paths: a plan may keep External leaves when
-     every one names a view the economics snapshot prices (the
-     executor answers those from the store). *)
-  let seen = Nalg.Key_tbl.create 64 in
+  (* One candidate per class; typecheck gate; estimate; sort.
+     Computability is relaxed to access paths: a plan may keep External
+     leaves when every one names a view the economics snapshot prices
+     (the executor answers those from the store). *)
+  let seen = Nalg.Key_tbl.create 16 in
   let costed =
-    List.filter
-      (fun k ->
-        if Nalg.Key_tbl.mem seen k then false
-        else begin
-          Nalg.Key_tbl.replace seen k ();
-          true
-        end)
-      pruned
+    (* the access-path candidates enter as built: the rules never see
+       them, and their join trees keep the FROM order the executor
+       fetches in *)
+    with_projections @ List.map Nalg.key (view_plans @ binding_plans)
+    |> List.filter (fun k ->
+           if Nalg.Key_tbl.mem seen k then false
+           else begin
+             Nalg.Key_tbl.replace seen k ();
+             true
+           end)
     |> List.filter (fun k ->
            List.for_all (fun (name, _) -> known name) (Nalg.externals k.Nalg.plan))
     |> List.filter (fun k ->
@@ -357,7 +275,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
            end
            else true)
     |> List.map (fun { Nalg.plan = e; _ } ->
-           let est = Cost.estimate ~views:econ schema stats e e in
+           let est = estimate e in
            { expr = e; cost = est.Cost.cost; card = est.Cost.card })
     |> List.sort (fun p1 p2 -> Float.compare p1.cost p2.cost)
   in
@@ -366,21 +284,24 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
      one representative per key. Running after the cost sort keeps the
      cheapest representative, so the chosen plan is exactly what it
      would have been without deduplication. *)
-  let keyed = Hashtbl.create 64 in
+  let keyed = Hashtbl.create 16 in
   let merged = ref 0 in
   let candidates =
-    List.filter
-      (fun p ->
-        let k = Contain.plan_key p.expr in
-        if Hashtbl.mem keyed k then begin
-          incr merged;
-          false
-        end
-        else begin
-          Hashtbl.replace keyed k ();
-          true
-        end)
-      costed
+    match costed with
+    | [] | [ _ ] -> costed (* nothing to merge *)
+    | _ ->
+      List.filter
+        (fun p ->
+          let k = Contain.plan_key p.expr in
+          if Hashtbl.mem keyed k then begin
+            incr merged;
+            false
+          end
+          else begin
+            Hashtbl.replace keyed k ();
+            true
+          end)
+        costed
   in
   match candidates with
   | [] -> invalid_arg "Planner.enumerate: no computable plan"
@@ -397,16 +318,17 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
     {
       best;
       candidates;
-      explored = List.length pruned;
+      explored = Memo.groups memo;
+      expressions = Memo.expressions memo;
       merged = !merged;
       select = q.Conjunctive.select;
       view_used;
       diagnostics = List.rev !diagnostics;
     }
 
-let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
+let plan_sql ?pointer_rules ?constraint_selections ?minimize ?views
     ?bindings schema stats registry sql =
-  enumerate ?cap ?pointer_rules ?constraint_selections ?minimize ?views
+  enumerate ?pointer_rules ?constraint_selections ?minimize ?views
     ?bindings schema stats registry
     (Sql_parser.parse registry sql)
 
@@ -414,8 +336,8 @@ let plan_sql ?cap ?pointer_rules ?constraint_selections ?minimize ?views
    chosen plan and the result. [views] opens registered-view access
    paths to the enumeration; [exec_views] is the store-backed answerer
    the executor needs when the chosen plan scans a view. *)
-let run ?cap ?views ?bindings ?exec_views schema stats registry source sql =
-  let outcome = plan_sql ?cap ?views ?bindings schema stats registry sql in
+let run ?views ?bindings ?exec_views schema stats registry source sql =
+  let outcome = plan_sql ?views ?bindings schema stats registry sql in
   let result =
     rename_output outcome
       (Eval.eval ?views:exec_views schema source outcome.best.expr)

@@ -1,10 +1,12 @@
 (** Plan selection (paper Algorithm 1, Section 6.3): translate the
     conjunctive query to algebra over external relations, expand
     default navigations (rule 1), eliminate repeated navigations
-    (rule 4), push and prune joins (rules 8/9 with join reordering),
-    push selections (rule 6 + commutation) and projections (rules
-    3/5/7 via pruning), then cost every candidate and keep the
-    cheapest. *)
+    (rule 4), push and prune joins (rules 2/8/9 under every join
+    order), push selections (rule 6 + commutation) and projections
+    (rules 3/5/7 via pruning), then cost every candidate and keep the
+    cheapest. The search runs on a {!Memo} of plan classes — plans
+    equal up to join order — and is exhaustive: there is no
+    plan-space cap. *)
 
 type plan = { expr : Nalg.expr; cost : float; card : float }
 
@@ -33,18 +35,27 @@ type substitution = {
 
 type outcome = {
   best : plan;
-  candidates : plan list;  (** all candidates, sorted by cost *)
+  candidates : plan list;
+      (** one plan per semantic class, sorted by cost: the canonical
+          member of the cheapest memo class with each
+          {!Contain.plan_key}. [best] is the head. *)
   explored : int;
+      (** memo classes the search inserted, over all its stages — each
+          class is one plan up to join order, typechecked and (when
+          final) costed once *)
+  expressions : int;
+      (** rule results offered to the memo; most land in a class that
+          already exists *)
   merged : int;
-      (** candidates dropped by semantic deduplication — an
-          equivalent plan (same {!Contain.plan_key}) with lower cost
+      (** costed memo classes dropped by semantic deduplication — an
+          equivalent class (same {!Contain.plan_key}) with lower cost
           was kept, so the chosen plan is unaffected *)
   select : string list;  (** the query's output attributes, in order *)
   view_used : substitution list;
       (** view substitutions of the best plan; empty when the cost
           race chose pure navigation *)
   diagnostics : Diagnostic.t list;
-      (** enumeration findings: [W0401] cap truncations, [E0402] /
+      (** enumeration findings: [E0402] /
           [E0403] rewrite-soundness violations, [E0404] ill-typed
           candidates rejected before costing, [E0601] / [W0602] from
           input-query minimization, [W0605] when the best plan answers
@@ -56,26 +67,10 @@ val rename_output : outcome -> Adm.Relation.t -> Adm.Relation.t
     names (plans name columns after the page occurrences they
     navigate, which differ between candidates). *)
 
-val closure :
-  ?cap:int ->
-  ?on_rewrite:(parent:Nalg.key -> child:Nalg.key -> unit) ->
-  (Nalg.expr -> Nalg.expr list) list ->
-  Nalg.key list ->
-  Nalg.key list * [ `Complete | `Truncated | `Unexplored of int ]
-(** Closure of a seed set under one-step rewritings, deduplicated by
-    plan identity ({!Nalg.identical}), with a safety cap. Each plan is
-    keyed once, when it is produced. The second component says how the
-    cap bounded the exploration: [`Complete] (the queue drained),
-    [`Truncated] (work was still queued), or [`Unexplored n] (the [n]
-    distinct seeds already filled the cap, so no rule was applied).
-    [on_rewrite] fires on every rule application, before
-    deduplication. *)
-
 val fixpoint :
   ?max_rounds:int -> (Nalg.expr -> Nalg.expr list) -> Nalg.expr -> Nalg.expr
 
 val enumerate :
-  ?cap:int ->
   ?pointer_rules:bool ->
   ?constraint_selections:bool ->
   ?minimize:bool ->
@@ -84,16 +79,16 @@ val enumerate :
   Adm.Schema.t -> Stats.t -> View.registry -> Conjunctive.t -> outcome
 (** Raises [Invalid_argument] when no computable plan exists.
     [pointer_rules] (default true) enables rules 2/8/9;
-    [constraint_selections] (default true) enables rule 6 — both exist
-    for ablation studies. [minimize] (default true) runs
+    [constraint_selections] (default true) enables rules 6 and 7 — both
+    exist for ablation studies. [minimize] (default true) runs
     {!Contain.minimize_query} on the input first (its [E0601] /
     [W0602] findings land in the outcome diagnostics; the original
-    SELECT names are kept for {!rename_output}). [cap] overrides the
-    per-phase plan-space caps (join 1500, selection / projection 400);
-    hitting a cap is reported as a [W0401] diagnostic in the outcome,
-    which says when the phase's seeds alone filled the cap so its rules
-    were never applied.
-    Every rewrite step is checked by {!Typecheck.judge}; ill-typed
+    SELECT names are kept for {!rename_output}).
+    The stages of Algorithm 1 (rule 4 to fixpoint; rules 2/4/8/9 at
+    every join node of every join order; rule 6, then selection
+    sinking; rule 7, then pruning) each saturate the memo: nothing is
+    truncated. Every class a rule derives is checked by
+    {!Typecheck.judge} against the class it came from; ill-typed
     candidates are rejected before costing, and plans equivalent under
     {!Contain.plan_key} are deduplicated after the cost sort
     ([merged]). [views] opens registered-view access paths: each
@@ -110,7 +105,6 @@ val enumerate :
     and cost race. *)
 
 val plan_sql :
-  ?cap:int ->
   ?pointer_rules:bool ->
   ?constraint_selections:bool ->
   ?minimize:bool ->
@@ -119,7 +113,6 @@ val plan_sql :
   Adm.Schema.t -> Stats.t -> View.registry -> string -> outcome
 
 val run :
-  ?cap:int ->
   ?views:view_context ->
   ?bindings:(Conjunctive.t -> Nalg.expr list) ->
   ?exec_views:Exec.views ->

@@ -48,19 +48,44 @@ let rec contexts (e : expr) : (expr * (expr -> expr)) list =
 let attr_of_path alias (p : Adm.Constraints.path) =
   String.concat "." (alias :: p.Adm.Constraints.steps)
 
+(* [attr] is qualified by [alias]: it reads [alias.]… (without
+   allocating the prefix). *)
+let qualified_by alias attr =
+  let n = String.length alias in
+  String.length attr > n + 1
+  && attr.[n] = '.'
+  &&
+  let rec go i = i = n || (attr.[i] = alias.[i] && go (i + 1)) in
+  go 0
+
+(* The attribute path after [alias.] of an attribute qualified by it. *)
+let after_alias alias attr =
+  let n = String.length alias + 1 in
+  String.sub attr n (String.length attr - n)
+
+(* The Follow nodes of [e], in pre-order (the order of {!contexts}). *)
+let follows e =
+  List.rev (fold (fun acc n -> match n with Follow fl -> fl :: acc | _ -> acc) [] e)
+
 (* All link attributes available in [e]'s output (after the necessary
    unnests), with their constraint path and target scheme. *)
 let available_links (schema : Adm.Schema.t) (e : expr) =
-  let out = output_attrs schema e in
+  let env = alias_env e in
+  let aliases = List.map fst env in
   List.filter_map
     (fun attr ->
-      match constraint_path_of_attr e attr with
+      (* [constraint_path_of_attr], with the alias environment read once *)
+      match split_attr aliases attr with
       | None -> None
-      | Some (path, alias) -> (
-        match Adm.Schema.link_target schema path with
-        | Some target -> Some (attr, path, alias, target)
-        | None -> None))
-    out
+      | Some (alias, steps) -> (
+        match List.assoc_opt alias env with
+        | None -> None
+        | Some scheme -> (
+          let path = Adm.Constraints.path scheme steps in
+          match Adm.Schema.link_target schema path with
+          | Some target -> Some (attr, path, alias, target)
+          | None -> None)))
+    (output_attrs schema e)
 
 (* Every attribute name referenced by operators of [e]. *)
 let referenced_attrs e =
@@ -84,11 +109,8 @@ let referenced_attrs e =
    [aliases]? (Used by rule 9's side condition: the attributes of the
    abandoned path must not be needed.) *)
 let references_any_alias e aliases =
-  let prefixes = List.map (fun a -> a ^ ".") aliases in
   List.exists
-    (fun attr -> List.exists (fun p -> String.length attr > String.length p
-                                       && String.sub attr 0 (String.length p) = p)
-                   prefixes)
+    (fun attr -> List.exists (fun alias -> qualified_by alias attr) aliases)
     (referenced_attrs e)
 
 (* ------------------------------------------------------------------ *)
@@ -99,29 +121,30 @@ let references_any_alias e aliases =
    with associated constraint A = B, becomes e1 →L P2. The paper
    states the rule for any page relation; in plans only entry points
    appear as bare page relations. *)
-let rule2 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
-      | Join ([ (ka, kb) ], e1, Entry { scheme; alias }) ->
-        List.filter_map
-          (fun (link_attr, link_path, link_alias, target) ->
-            if not (String.equal target scheme) then None
-            else
-              let matching =
-                List.find_opt
-                  (fun (c : Adm.Constraints.link_constraint) ->
-                    String.equal c.target_scheme scheme
-                    && String.equal (attr_of_path link_alias c.source_attr) ka
-                    && String.equal (alias ^ "." ^ c.target_attr) kb)
-                  (Adm.Schema.constraints_on_link schema link_path)
-              in
-              match matching with
-              | Some _ -> Some (rb (Follow { src = e1; link = link_attr; scheme; alias }))
-              | None -> None)
-          (available_links schema e1)
-      | _ -> [])
-    (contexts root)
+let rule2_at ?links (schema : Adm.Schema.t) ((sub, rb) : expr * (expr -> expr)) :
+    expr list =
+  let links = match links with Some f -> f | None -> available_links schema in
+  match sub with
+  | Join ([ (ka, kb) ], e1, Entry { scheme; alias }) ->
+    List.filter_map
+      (fun (link_attr, link_path, link_alias, target) ->
+        if not (String.equal target scheme) then None
+        else
+          let matching =
+            List.find_opt
+              (fun (c : Adm.Constraints.link_constraint) ->
+                String.equal c.target_scheme scheme
+                && String.equal (attr_of_path link_alias c.source_attr) ka
+                && String.equal (alias ^ "." ^ c.target_attr) kb)
+              (Adm.Schema.constraints_on_link schema link_path)
+          in
+          match matching with
+          | Some _ -> Some (rb (Follow { src = e1; link = link_attr; scheme; alias }))
+          | None -> None)
+      (links e1)
+  | _ -> []
+
+let rule2 schema root = List.concat_map (rule2_at schema) (contexts root)
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: eliminate repeated navigations                              *)
@@ -218,20 +241,19 @@ let try_merge (keys : (string * string) list) ~(keep : expr) ~(drop : expr)
       in
       if keys_ok then Some (keep, rename) else None
 
-let rule4 (_schema : Adm.Schema.t) (root : expr) : expr list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
-      | Join (keys, e1, e2) ->
-        let attempt ~keep ~drop ~drop_is_right =
-          match try_merge keys ~keep ~drop ~drop_is_right with
-          | Some (merged, rename) -> [ rename_attrs rename (rb merged) ]
-          | None -> []
-        in
-        attempt ~keep:e2 ~drop:e1 ~drop_is_right:false
-        @ attempt ~keep:e1 ~drop:e2 ~drop_is_right:true
-      | _ -> [])
-    (contexts root)
+let rule4_at (_schema : Adm.Schema.t) ((sub, rb) : expr * (expr -> expr)) : expr list =
+  match sub with
+  | Join (keys, e1, e2) ->
+    let attempt ~keep ~drop ~drop_is_right =
+      match try_merge keys ~keep ~drop ~drop_is_right with
+      | Some (merged, rename) -> [ rename_attrs rename (rb merged) ]
+      | None -> []
+    in
+    attempt ~keep:e2 ~drop:e1 ~drop_is_right:false
+    @ attempt ~keep:e1 ~drop:e2 ~drop_is_right:true
+  | _ -> []
+
+let rule4 schema root = List.concat_map (rule4_at schema) (contexts root)
 
 (* ------------------------------------------------------------------ *)
 (* Join reordering                                                     *)
@@ -291,92 +313,85 @@ type pointer_match = {
   rebuild : expr -> expr; (* rebuilds the root around the Join *)
 }
 
-let pointer_matches (schema : Adm.Schema.t) (root : expr) : pointer_match list =
-  List.concat_map
-    (fun (sub, rb) ->
-      match sub with
-      | Join (keys, left, right) ->
-        let sided nav_side other ~nav_is_left =
-          List.concat_map
-            (fun (fsub, frb) ->
-              match fsub with
-              | Follow fl ->
-                (* join keys of the form (P3.B, R2.A) *)
-                List.concat_map
-                  (fun (ka, kb) ->
-                    let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
-                    let prefix = fl.alias ^ "." in
-                    if
-                      String.length nav_key > String.length prefix
-                      && String.sub nav_key 0 (String.length prefix) = prefix
-                    then
-                      let b =
-                        String.sub nav_key (String.length prefix)
-                          (String.length nav_key - String.length prefix)
-                      in
-                      (* find R2's links to P3 whose constraint binds A = B *)
-                      List.filter_map
-                        (fun (link_attr, link_path, link_alias, target) ->
-                          if not (String.equal target fl.scheme) then None
-                          else
-                            let ok =
-                              List.exists
-                                (fun (c : Adm.Constraints.link_constraint) ->
-                                  String.equal c.target_scheme fl.scheme
-                                  && String.equal c.target_attr b
-                                  && String.equal
-                                       (attr_of_path link_alias c.source_attr)
-                                       other_key)
-                                (Adm.Schema.constraints_on_link schema link_path)
-                            in
-                            if not ok then None
-                            else
-                              let residual_keys =
-                                List.filter
-                                  (fun (x, y) ->
-                                    not (String.equal x ka && String.equal y kb))
-                                  keys
-                              in
-                              Some
-                                {
-                                  follow = fl;
-                                  follow_rb = frb;
-                                  other;
-                                  other_link_attr = link_attr;
-                                  other_link_path = link_path;
-                                  residual_keys;
-                                  rebuild = rb;
-                                })
-                        (available_links schema other)
-                    else [])
-                  keys
-              | _ -> [])
-            (contexts nav_side)
-        in
-        sided left right ~nav_is_left:true @ sided right left ~nav_is_left:false
-      | _ -> [])
-    (contexts root)
+let pointer_matches_at ?links (schema : Adm.Schema.t) ((sub, rb) : expr * (expr -> expr)) :
+    pointer_match list =
+  let links = match links with Some f -> f | None -> available_links schema in
+  match sub with
+  | Join (keys, left, right) ->
+    let sided nav_side other ~nav_is_left =
+      let other_links = lazy (links other) in
+      List.concat_map
+        (fun (fsub, frb) ->
+          match fsub with
+          | Follow fl ->
+            (* join keys of the form (P3.B, R2.A) *)
+            List.concat_map
+              (fun (ka, kb) ->
+                let nav_key, other_key = if nav_is_left then (ka, kb) else (kb, ka) in
+                if qualified_by fl.alias nav_key then
+                  let b = after_alias fl.alias nav_key in
+                  (* find R2's links to P3 whose constraint binds A = B *)
+                  List.filter_map
+                    (fun (link_attr, link_path, link_alias, target) ->
+                      if not (String.equal target fl.scheme) then None
+                      else
+                        let ok =
+                          List.exists
+                            (fun (c : Adm.Constraints.link_constraint) ->
+                              String.equal c.target_scheme fl.scheme
+                              && String.equal c.target_attr b
+                              && String.equal
+                                   (attr_of_path link_alias c.source_attr)
+                                   other_key)
+                            (Adm.Schema.constraints_on_link schema link_path)
+                        in
+                        if not ok then None
+                        else
+                          let residual_keys =
+                            List.filter
+                              (fun (x, y) ->
+                                not (String.equal x ka && String.equal y kb))
+                              keys
+                          in
+                          Some
+                            {
+                              follow = fl;
+                              follow_rb = frb;
+                              other;
+                              other_link_attr = link_attr;
+                              other_link_path = link_path;
+                              residual_keys;
+                              rebuild = rb;
+                            })
+                    (Lazy.force other_links)
+                else [])
+              keys
+          | _ -> [])
+        (contexts nav_side)
+    in
+    sided left right ~nav_is_left:true @ sided right left ~nav_is_left:false
+  | _ -> []
 
 (* Rule 8 [Pointer Join]:
    (R1 →L R3) ⋈_{R3.B=R2.A} R2  =  (R1 ⋈_{R1.L=R2.L'} R2) →L R3 *)
-let rule8 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map
-    (fun m ->
-      let fl = m.follow in
-      (* R2's attributes must be disjoint from the navigation side's:
-         guaranteed by unique aliases. Link values joined directly. *)
-      let joined =
-        Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other)
-      in
-      let new_side = m.follow_rb (Follow { fl with src = joined }) in
-      let replacement =
-        match m.residual_keys with
-        | [] -> new_side
-        | keys ->
-          Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
-      in
-      Some (m.rebuild replacement))
-    (pointer_matches schema root)
+let rule8_of_match m =
+  let fl = m.follow in
+  (* R2's attributes must be disjoint from the navigation side's:
+     guaranteed by unique aliases. Link values joined directly. *)
+  let joined =
+    Join ([ (fl.link, m.other_link_attr) ], fl.src, m.other)
+  in
+  let new_side = m.follow_rb (Follow { fl with src = joined }) in
+  let replacement =
+    match m.residual_keys with
+    | [] -> new_side
+    | keys ->
+      Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
+  in
+  m.rebuild replacement
+
+let rule8_at schema node = List.map rule8_of_match (pointer_matches_at schema node)
+let rule8 schema root = List.concat_map (rule8_at schema) (contexts root)
 
 (* Rule 9 [Pointer Chase]:
    π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)
@@ -397,37 +412,43 @@ let rec pure_navigation = function
      a link attribute's full extent — rule 9's inclusion does not apply *)
   | Select _ | Join _ | Project _ | External _ | Call _ -> false
 
-let rule9 (schema : Adm.Schema.t) (root : expr) : expr list =
-  List.filter_map
-    (fun m ->
-      let fl = m.follow in
-      if not (pure_navigation fl.src) then None
+let rule9_of_match (schema : Adm.Schema.t) m =
+  let fl = m.follow in
+  if not (pure_navigation fl.src) then None
+  else
+    match constraint_path_of_attr fl.src fl.link with
+    | None -> None
+    | Some (sup_path, _) ->
+      if not (Adm.Schema.inclusion_holds schema ~sub:m.other_link_path ~sup:sup_path)
+      then None
       else
-      match constraint_path_of_attr fl.src fl.link with
-      | None -> None
-      | Some (sup_path, _) ->
-        if not (Adm.Schema.inclusion_holds schema ~sub:m.other_link_path ~sup:sup_path)
-        then None
-        else
-          let new_follow =
-            Follow { src = m.other; link = m.other_link_attr; scheme = fl.scheme; alias = fl.alias }
-          in
-          let new_side = m.follow_rb new_follow in
-          let replacement =
-            match m.residual_keys with
-            | [] -> new_side
-            | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
-          in
-          let candidate = m.rebuild replacement in
-          (* side condition: the dropped prefix R1's aliases must not
-             be referenced anywhere in the rewritten plan *)
-          let dropped =
-            List.filter
-              (fun a -> not (List.mem a (aliases candidate)))
-              (aliases fl.src)
-          in
-          if references_any_alias candidate dropped then None else Some candidate)
-    (pointer_matches schema root)
+        let new_follow =
+          Follow { src = m.other; link = m.other_link_attr; scheme = fl.scheme; alias = fl.alias }
+        in
+        let new_side = m.follow_rb new_follow in
+        let replacement =
+          match m.residual_keys with
+          | [] -> new_side
+          | keys -> Select (List.map (fun (a, b) -> Pred.eq_attrs a b) keys, new_side)
+        in
+        let candidate = m.rebuild replacement in
+        (* side condition: the dropped prefix R1's aliases must not
+           be referenced anywhere in the rewritten plan *)
+        let dropped =
+          List.filter
+            (fun a -> not (List.mem a (aliases candidate)))
+            (aliases fl.src)
+        in
+        if references_any_alias candidate dropped then None else Some candidate
+
+let rule9_at schema node = List.filter_map (rule9_of_match schema) (pointer_matches_at schema node)
+
+let rule9 schema root = List.concat_map (rule9_at schema) (contexts root)
+
+(* Rules 8 and 9 at one node, matching the pattern once. *)
+let pointer_rules_at ?links schema node =
+  let matches = pointer_matches_at ?links schema node in
+  List.map rule8_of_match matches @ List.filter_map (rule9_of_match schema) matches
 
 (* ------------------------------------------------------------------ *)
 (* Rule 6: moving selections across link constraints                   *)
@@ -442,6 +463,7 @@ let rule6 (schema : Adm.Schema.t) (root : expr) : expr list =
     (fun (sub, rb) ->
       match sub with
       | Select (p, e1) ->
+        let below = lazy (follows e1) in
         List.concat_map
           (fun (atom : Pred.atom) ->
             (* any comparison against a constant qualifies: A = B makes
@@ -457,17 +479,10 @@ let rule6 (schema : Adm.Schema.t) (root : expr) : expr list =
             | Some (attr, v, const_right) ->
               (* find follows in e1 whose alias qualifies [attr] *)
               List.concat_map
-                (fun (fsub, _) ->
-                  match fsub with
-                  | Follow fl
-                    when String.length attr > String.length fl.alias + 1
-                         && String.sub attr 0 (String.length fl.alias + 1)
-                            = fl.alias ^ "." -> (
-                    let b =
-                      String.sub attr
-                        (String.length fl.alias + 1)
-                        (String.length attr - String.length fl.alias - 1)
-                    in
+                (fun fl ->
+                  if not (qualified_by fl.alias attr) then []
+                  else
+                    let b = after_alias fl.alias attr in
                     match constraint_path_of_attr fl.src fl.link with
                     | None -> []
                     | Some (link_path, link_alias) ->
@@ -491,8 +506,7 @@ let rule6 (schema : Adm.Schema.t) (root : expr) : expr list =
                             in
                             Some (rb (Select (p', e1))))
                         (Adm.Schema.constraints_on_link schema link_path))
-                  | _ -> [])
-                (contexts e1))
+                (Lazy.force below))
           p
       | _ -> [])
     (contexts root)
@@ -506,10 +520,11 @@ let subset attrs available = List.for_all (fun a -> List.mem a available) attrs
 (* Push every selection atom to the lowest operator that provides its
    attributes. Equalities implied by link constraints are not used
    here — that is rule 6's job; this is plain commutation. *)
-let sink_selections (schema : Adm.Schema.t) (e : expr) : expr =
-  (* one memo table per invocation: the same subtrees are queried at
-     every enclosing operator on the way down *)
-  let out = output_attrs_memo schema in
+let sink_selections ?out (schema : Adm.Schema.t) (e : expr) : expr =
+  (* one memo table per invocation (unless the caller shares one): the
+     same subtrees are queried at every enclosing operator on the way
+     down *)
+  let out = match out with Some f -> f | None -> output_attrs_memo schema in
   let rec place (atoms : Pred.atom list) e =
     match e with
     | Select (p, e1) -> place (atoms @ p) e1
@@ -518,33 +533,40 @@ let sink_selections (schema : Adm.Schema.t) (e : expr) : expr =
       let inside, here =
         List.partition (fun a -> subset (Pred.atom_attrs a) attrs) atoms
       in
-      wrap here (Project (attrs, place inside e1))
+      let e1' = place inside e1 in
+      wrap here (if e1' == e1 then e else Project (attrs, e1'))
     | Unnest (e1, a) ->
       let avail = out e1 in
       let inside, here =
         List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
       in
-      wrap here (Unnest (place inside e1, a))
+      let e1' = place inside e1 in
+      wrap here (if e1' == e1 then e else Unnest (e1', a))
     | Follow fl ->
       let avail = out fl.src in
       let inside, here =
         List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
       in
-      wrap here (Follow { fl with src = place inside fl.src })
+      let src' = place inside fl.src in
+      wrap here (if src' == fl.src then e else Follow { fl with src = src' })
     | Call { c_src = None; _ } -> wrap atoms e
     | Call ({ c_src = Some src; _ } as c) ->
       let avail = out src in
       let inside, here =
         List.partition (fun at -> subset (Pred.atom_attrs at) avail) atoms
       in
-      wrap here (Call { c with c_src = Some (place inside src) })
+      let src' = place inside src in
+      wrap here (if src' == src then e else Call { c with c_src = Some src' })
     | Join (keys, e1, e2) ->
       let a1 = out e1 in
       let a2 = out e2 in
       let left, rest = List.partition (fun at -> subset (Pred.atom_attrs at) a1) atoms in
       let right, here = List.partition (fun at -> subset (Pred.atom_attrs at) a2) rest in
-      wrap here (Join (keys, place left e1, place right e2))
+      let e1' = place left e1 and e2' = place right e2 in
+      wrap here (if e1' == e1 && e2' == e2 then e else Join (keys, e1', e2'))
   and wrap atoms e = match atoms with [] -> e | p -> Select (p, e) in
+  (* unchanged subtrees are returned as they are (physically), so plans
+     that share subtrees keep sharing them *)
   place [] e
 
 (* ------------------------------------------------------------------ *)
@@ -557,23 +579,35 @@ let sink_selections (schema : Adm.Schema.t) (e : expr) : expr =
    flows top-down: the root's projection, plus every predicate, join
    key, link and unnest attribute below. *)
 let prune (schema : Adm.Schema.t) (root : expr) : expr =
+  (* attributes resolve against the root's aliases, read once: an
+     operator reads only attributes produced below it, and aliases are
+     unique in a plan *)
+  let env = alias_env root in
+  let aliases = List.map fst env in
+  let constraint_path_of_attr _ attr =
+    match split_attr aliases attr with
+    | Some (alias, steps) -> (
+      match List.assoc_opt alias env with
+      | Some scheme -> Some (Adm.Constraints.path scheme steps, alias)
+      | None -> None)
+    | None -> None
+  in
   let rec go (needed : string list) e =
     match e with
     | Entry _ | External _ -> e
-    | Project (attrs, e1) -> Project (attrs, go attrs e1)
-    | Select (p, e1) -> Select (p, go (Pred.attrs p @ needed) e1)
+    | Project (attrs, e1) ->
+      let e1' = go attrs e1 in
+      if e1' == e1 then e else Project (attrs, e1')
+    | Select (p, e1) ->
+      let e1' = go (Pred.attrs p @ needed) e1 in
+      if e1' == e1 then e else Select (p, e1')
     | Join (keys, e1, e2) ->
       let key_attrs = List.concat_map (fun (a, b) -> [ a; b ]) keys in
       let needed = key_attrs @ needed in
-      Join (keys, go needed e1, go needed e2)
+      let e1' = go needed e1 and e2' = go needed e2 in
+      if e1' == e1 && e2' == e2 then e else Join (keys, e1', e2')
     | Unnest (e1, a) ->
-      let contributes =
-        List.exists
-          (fun n ->
-            String.length n > String.length a + 1
-            && String.sub n 0 (String.length a + 1) = a ^ ".")
-          needed
-      in
+      let contributes = List.exists (qualified_by a) needed in
       (* Rule 3 is licensed by a declared non-emptiness constraint:
          without it, a page with an empty list would survive the
          unnest-free plan but produce no rows in the original. *)
@@ -585,17 +619,12 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
           | None -> false)
         | None -> false
       in
-      if contributes || not droppable then Unnest (go (a :: needed) e1, a)
+      if contributes || not droppable then
+        let e1' = go (a :: needed) e1 in
+        if e1' == e1 then e else Unnest (e1', a)
       else go needed e1
     | Follow fl ->
-      let prefix = fl.alias ^ "." in
-      let contributes =
-        List.exists
-          (fun n ->
-            String.length n > String.length prefix
-            && String.sub n 0 (String.length prefix) = prefix)
-          needed
-      in
+      let contributes = List.exists (qualified_by fl.alias) needed in
       let optional =
         match constraint_path_of_attr fl.src fl.link with
         | Some (p, _) -> (
@@ -604,7 +633,9 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
           | None -> false)
         | None -> false
       in
-      if contributes || optional then Follow { fl with src = go (fl.link :: needed) fl.src }
+      if contributes || optional then
+        let src' = go (fl.link :: needed) fl.src in
+        if src' == fl.src then e else Follow { fl with src = src' }
       else go needed fl.src
     | Call ({ c_src; c_args; _ } as c) ->
       (* never dropped: the bound arguments are the access path itself;
@@ -616,7 +647,9 @@ let prune (schema : Adm.Schema.t) (root : expr) : expr =
       in
       (match c_src with
       | None -> e
-      | Some src -> Call { c with c_src = Some (go (arg_attrs @ needed) src) })
+      | Some src ->
+        let src' = go (arg_attrs @ needed) src in
+        if src' == src then e else Call { c with c_src = Some src' })
   in
   go (output_attrs schema root) root
 
@@ -632,21 +665,15 @@ let rule7_replace (schema : Adm.Schema.t) (root : expr) : expr list =
     (fun (sub, rb) ->
       match sub with
       | Project (attrs, e1) ->
+        let below = lazy (follows e1) in
         List.concat_map
           (fun attr ->
             (* find the Follow feeding [attr]'s alias *)
             List.concat_map
-              (fun (fsub, _) ->
-                match fsub with
-                | Follow fl
-                  when String.length attr > String.length fl.alias + 1
-                       && String.sub attr 0 (String.length fl.alias + 1)
-                          = fl.alias ^ "." -> (
-                  let b =
-                    String.sub attr
-                      (String.length fl.alias + 1)
-                      (String.length attr - String.length fl.alias - 1)
-                  in
+              (fun fl ->
+                if not (qualified_by fl.alias attr) then []
+                else
+                  let b = after_alias fl.alias attr in
                   match constraint_path_of_attr fl.src fl.link with
                   | None -> []
                   | Some (link_path, link_alias) ->
@@ -662,8 +689,7 @@ let rule7_replace (schema : Adm.Schema.t) (root : expr) : expr list =
                           in
                           Some (rb (Project (attrs', e1))))
                       (Adm.Schema.constraints_on_link schema link_path))
-                | _ -> [])
-              (contexts e1))
+              (Lazy.force below))
           attrs
       | _ -> [])
     (contexts root)

@@ -21,6 +21,27 @@ val references_any_alias : Nalg.expr -> string list -> bool
 val rule2 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** A join whose predicate is a link constraint is a follow. *)
 
+(** {2 Rules at one join node}
+
+    The join rules fired at a single node, given as a context pair
+    (the node, the function rebuilding the root around a replacement)
+    like the ones {!contexts} returns. [rule2 schema root] is
+    [List.concat_map (rule2_at schema) (contexts root)], and so on;
+    {!Memo} fires them at the join nodes of every join order. *)
+
+val rule2_at :
+  ?links:(Nalg.expr -> (string * Adm.Constraints.path * string * string) list) ->
+  Adm.Schema.t -> Nalg.expr * (Nalg.expr -> Nalg.expr) -> Nalg.expr list
+(** [?links] replaces {!available_links} (e.g. by a memoized one). *)
+
+val rule4_at : Adm.Schema.t -> Nalg.expr * (Nalg.expr -> Nalg.expr) -> Nalg.expr list
+
+val pointer_rules_at :
+  ?links:(Nalg.expr -> (string * Adm.Constraints.path * string * string) list) ->
+  Adm.Schema.t -> Nalg.expr * (Nalg.expr -> Nalg.expr) -> Nalg.expr list
+(** The results of {!rule8} and then {!rule9} at one node, matching
+    their common pattern once; [?links] as for {!rule2_at}. *)
+
 val rule4 : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** Eliminate repeated navigations: [(R ◦ A) ⋈_Y R = R ◦ A]. The
     surviving occurrence's aliases replace the dropped one's
@@ -44,9 +65,13 @@ val join_rotate : Adm.Schema.t -> Nalg.expr -> Nalg.expr list
 (** Join associativity/commutativity: expose repeated or joinable
     navigations hidden by the FROM-order left-deep tree. *)
 
-val sink_selections : Adm.Schema.t -> Nalg.expr -> Nalg.expr
+val sink_selections :
+  ?out:(Nalg.expr -> string list) -> Adm.Schema.t -> Nalg.expr -> Nalg.expr
 (** Push every selection atom to the lowest operator providing its
-    attributes (plain commutation; constraint moves are {!rule6}). *)
+    attributes (plain commutation; constraint moves are {!rule6}).
+    [?out] supplies the output attributes of the plan's subtrees
+    (default: a fresh {!Nalg.output_attrs_memo}), so a caller that sinks
+    many plans sharing subtrees can share one memo. *)
 
 val prune : Adm.Schema.t -> Nalg.expr -> Nalg.expr
 (** Rules 3 and 5 by neededness analysis: drop unnests and navigations

@@ -6,6 +6,19 @@
 
 type env = (string * Adm.Webtype.t) list
 
+(* Tables keyed by physical node: hash-consed plans share their
+   subtrees, so a node met again is the same value. *)
+module Phys_tbl = Hashtbl.Make (struct
+  type t = Nalg.expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+type memo = (env * Diagnostic.t list) Phys_tbl.t
+
+let memo () : memo = Phys_tbl.create 16
+
 let pp_env ppf (env : env) =
   Fmt.pf ppf "[%a]"
     Fmt.(
@@ -51,53 +64,76 @@ let unnest_fields (env : env) attr =
    the reversed step path from the root to the current node; each
    diagnostic carries the forward path so {!Explain.locate} can point
    back at the operator. *)
-let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
+(* Report a finding at the current node (its path is relative). *)
+let emit diags severity code fmt =
+  Fmt.kstr (fun m -> diags := Diagnostic.v severity code m :: !diags) fmt
+
+let infer ?(views = fun (_ : string) -> None) ?memo (schema : Adm.Schema.t)
     (root : Nalg.expr) : env * Diagnostic.t list =
-  let diags = ref [] in
-  let report rev severity code fmt =
-    Fmt.kstr
-      (fun m -> diags := Diagnostic.v ~path:(List.rev rev) severity code m :: !diags)
-      fmt
-  in
-  let err rev code fmt = report rev Diagnostic.Error code fmt in
-  let warn rev code fmt = report rev Diagnostic.Warning code fmt in
   let operand_ty (env : env) = function
     | Pred.Const v -> Adm.Webtype.of_value v
     | Pred.Attr a -> List.assoc_opt a env
   in
-  let check_operand rev where env = function
+  let check_operand diags where env = function
     | Pred.Const _ -> ()
     | Pred.Attr a ->
       if not (List.mem_assoc a env) then
-        err rev "E0103" "%s references unavailable attribute %s" where a
+        emit diags Diagnostic.Error "E0103" "%s references unavailable attribute %s"
+          where a
   in
-  let check_atom rev where env (a : Pred.atom) =
-    check_operand rev where env a.Pred.left;
-    check_operand rev where env a.Pred.right;
+  let check_atom diags where env (a : Pred.atom) =
+    check_operand diags where env a.Pred.left;
+    check_operand diags where env a.Pred.right;
     match operand_ty env a.Pred.left, operand_ty env a.Pred.right with
     | Some t1, Some t2 ->
       if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
-        err rev "E0106" "%s compares a multi-valued attribute in %a" where
-          Pred.pp_atom a
+        emit diags Diagnostic.Error "E0106" "%s compares a multi-valued attribute in %a"
+          where Pred.pp_atom a
       else if not (Adm.Webtype.compatible t1 t2) then
-        err rev "E0106" "type mismatch in %s %a: %a vs %a" where Pred.pp_atom a
-          Adm.Webtype.pp t1 Adm.Webtype.pp t2
+        emit diags Diagnostic.Error "E0106" "type mismatch in %s %a: %a vs %a" where
+          Pred.pp_atom a Adm.Webtype.pp t1 Adm.Webtype.pp t2
     | (Some _ | None), _ -> ()
   in
-  let rec go rev (e : Nalg.expr) : env =
+  (* Each node is inferred from its children's results; diagnostics
+     carry paths relative to the node and gain a step on the way up.
+     With [memo], a node already inferred (physically the same — the
+     planner's memo hash-conses its plans) is not visited again. *)
+  let rec go (e : Nalg.expr) : env * Diagnostic.t list =
+    match memo with
+    | None -> node e
+    | Some tbl -> (
+      match Phys_tbl.find_opt tbl e with
+      | Some r -> r
+      | None ->
+        let r = node e in
+        Phys_tbl.add tbl e r;
+        r)
+  and node (e : Nalg.expr) : env * Diagnostic.t list =
+    let diags = ref [] in
+    let err code fmt = emit diags Diagnostic.Error code fmt in
+    let warn code fmt = emit diags Diagnostic.Warning code fmt in
+    let sub step e1 =
+      let env, ds = go e1 in
+      List.iter
+        (fun (d : Diagnostic.t) ->
+          diags := { d with Diagnostic.path = step :: d.Diagnostic.path } :: !diags)
+        ds;
+      env
+    in
+    let env =
     match e with
     | Nalg.Entry { scheme; alias } ->
       (match Adm.Schema.find_scheme schema scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" scheme
+      | None -> err "E0101" "unknown page-scheme %s" scheme
       | Some ps ->
         if Adm.Page_scheme.is_parameterized ps then
-          err rev "E0111"
+          err "E0111"
             "page-scheme %s is a parameterized entry (%s): every parameter \
              must be bound by a call"
             scheme
             (Adm.Page_scheme.adornment ps)
         else if not (Adm.Page_scheme.is_entry_point ps) then
-          err rev "E0102" "page-scheme %s is not an entry point" scheme);
+          err "E0102" "page-scheme %s is not an entry point" scheme);
       scheme_env schema ~scheme ~alias
     | Nalg.External { name; alias } -> (
       match views name with
@@ -106,24 +142,24 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
            path (answered by [View_scan]), typed like a base scheme. *)
         List.map (fun (a, ty) -> (alias ^ "." ^ a, ty)) attrs
       | None ->
-        err rev "E0107" "external relation %s remains (not computable)" name;
+        err "E0107" "external relation %s remains (not computable)" name;
         (* placeholder matching [Nalg.output_attrs]'s arity *)
         [ (alias ^ ".*" ^ name, Adm.Webtype.Text) ])
     | Nalg.Select (p, e1) ->
-      let env1 = go ("select" :: rev) e1 in
-      List.iter (check_atom rev "selection" env1) p;
+      let env1 = sub "select" e1 in
+      List.iter (check_atom diags "selection" env1) p;
       env1
     | Nalg.Project (attrs, e1) ->
-      let env1 = go ("project" :: rev) e1 in
+      let env1 = sub "project" e1 in
       let rec dups seen = function
         | [] -> ()
         | a :: rest ->
           (* Selecting the same column twice is legal (the result is
              positional), merely suspicious — unlike a join clash. *)
           if List.mem a seen then
-            warn rev "W0110" "projection duplicates attribute %s" a
+            warn "W0110" "projection duplicates attribute %s" a
           else if not (List.mem_assoc a env1) then
-            err rev "E0103" "projection references unavailable attribute %s" a;
+            err "E0103" "projection references unavailable attribute %s" a;
           dups (a :: seen) rest
       in
       dups [] attrs;
@@ -132,70 +168,70 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
           (a, Option.value (List.assoc_opt a env1) ~default:Adm.Webtype.Text))
         attrs
     | Nalg.Join (keys, e1, e2) ->
-      let env1 = go ("join.left" :: rev) e1 in
-      let env2 = go ("join.right" :: rev) e2 in
+      let env1 = sub "join.left" e1 in
+      let env2 = sub "join.right" e2 in
       List.iter
         (fun (l, r) ->
           if not (List.mem_assoc l env1) then
-            err rev "E0103" "join (left) references unavailable attribute %s" l;
+            err "E0103" "join (left) references unavailable attribute %s" l;
           if not (List.mem_assoc r env2) then
-            err rev "E0103" "join (right) references unavailable attribute %s" r;
+            err "E0103" "join (right) references unavailable attribute %s" r;
           match List.assoc_opt l env1, List.assoc_opt r env2 with
           | Some t1, Some t2 ->
             if Adm.Webtype.is_multi t1 || Adm.Webtype.is_multi t2 then
-              err rev "E0106" "join key %s=%s binds a multi-valued attribute" l r
+              err "E0106" "join key %s=%s binds a multi-valued attribute" l r
             else if not (Adm.Webtype.compatible t1 t2) then
-              err rev "E0106" "join key type mismatch %s=%s: %a vs %a" l r
+              err "E0106" "join key type mismatch %s=%s: %a vs %a" l r
                 Adm.Webtype.pp t1 Adm.Webtype.pp t2
           | (Some _ | None), _ -> ())
         keys;
       List.iter
         (fun (a, _) ->
           if List.mem_assoc a env1 then
-            err rev "E0105" "join produces ambiguous attribute %s" a)
+            err "E0105" "join produces ambiguous attribute %s" a)
         env2;
       env1 @ env2
     | Nalg.Unnest (e1, attr) ->
-      let env1 = go ("unnest" :: rev) e1 in
+      let env1 = sub "unnest" e1 in
       let fields =
         match unnest_fields env1 attr with
         | Ok fields -> fields
         | Error (code, msg) ->
-          err rev code "%s" msg;
+          err code "%s" msg;
           []
       in
       List.filter (fun (a, _) -> not (String.equal a attr)) env1
       @ List.map (fun (f, ty) -> (attr ^ "." ^ f, ty)) fields
     | Nalg.Follow { src; link; scheme; alias } ->
-      let env_src = go ("follow" :: rev) src in
+      let env_src = sub "follow" src in
       (match List.assoc_opt link env_src with
       | Some (Adm.Webtype.Link target) ->
         if not (String.equal target scheme) then
-          err rev "E0109" "follow of %s reaches %s, plan says %s" link target
+          err "E0109" "follow of %s reaches %s, plan says %s" link target
             scheme
       | Some ty ->
-        err rev "E0108" "follow of %s: not a link attribute (%a)" link
+        err "E0108" "follow of %s: not a link attribute (%a)" link
           Adm.Webtype.pp ty
-      | None -> err rev "E0103" "follow references unavailable attribute %s" link);
+      | None -> err "E0103" "follow references unavailable attribute %s" link);
       (match Adm.Schema.find_scheme schema scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" scheme
+      | None -> err "E0101" "unknown page-scheme %s" scheme
       | Some _ -> ());
       let tgt = scheme_env schema ~scheme ~alias in
       List.iter
         (fun (a, _) ->
           if List.mem_assoc a env_src then
-            err rev "E0105" "follow produces ambiguous attribute %s" a)
+            err "E0105" "follow produces ambiguous attribute %s" a)
         tgt;
       env_src @ tgt
     | Nalg.Call { c_src; c_scheme; c_alias; c_args } ->
       let env_src =
-        match c_src with None -> [] | Some src -> go ("call" :: rev) src
+        match c_src with None -> [] | Some src -> sub "call" src
       in
       (match Adm.Schema.find_scheme schema c_scheme with
-      | None -> err rev "E0101" "unknown page-scheme %s" c_scheme
+      | None -> err "E0101" "unknown page-scheme %s" c_scheme
       | Some ps ->
         if not (Adm.Page_scheme.is_parameterized ps) then
-          err rev "E0111" "call targets %s, which declares no parameters"
+          err "E0111" "call targets %s, which declares no parameters"
             c_scheme
         else begin
           (* binding-pattern discipline: every declared parameter bound
@@ -209,19 +245,19 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
                   c_args
               with
               | [] ->
-                err rev "E0111"
+                err "E0111"
                   "call to %s leaves required parameter %s unbound" c_scheme
                   p.Adm.Page_scheme.p_name
               | [ _ ] -> ()
               | _ ->
-                err rev "E0111" "call to %s binds parameter %s more than once"
+                err "E0111" "call to %s binds parameter %s more than once"
                   c_scheme p.Adm.Page_scheme.p_name)
             (Adm.Page_scheme.params ps);
           List.iter
             (fun (n, arg) ->
               match Adm.Page_scheme.find_param ps n with
               | None ->
-                err rev "E0111" "call to %s binds unknown parameter %s"
+                err "E0111" "call to %s binds unknown parameter %s"
                   c_scheme n
               | Some p -> (
                 match arg with
@@ -229,18 +265,18 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
                 | Nalg.Arg_attr a -> (
                   match List.assoc_opt a env_src with
                   | None ->
-                    err rev "E0111"
+                    err "E0111"
                       "call argument %s := %s references an attribute the \
                        enclosing plan does not bind"
                       n a
                   | Some ty ->
                     if Adm.Webtype.is_multi ty then
-                      err rev "E0106"
+                      err "E0106"
                         "call argument %s := %s feeds a multi-valued attribute"
                         n a
                     else if not (Adm.Webtype.compatible ty p.Adm.Page_scheme.p_ty)
                     then
-                      err rev "E0106"
+                      err "E0106"
                         "call argument %s type mismatch: parameter is %a, %s \
                          is %a"
                         n Adm.Webtype.pp p.Adm.Page_scheme.p_ty a Adm.Webtype.pp
@@ -251,12 +287,13 @@ let infer ?(views = fun (_ : string) -> None) (schema : Adm.Schema.t)
       List.iter
         (fun (a, _) ->
           if List.mem_assoc a env_src then
-            err rev "E0105" "call produces ambiguous attribute %s" a)
+            err "E0105" "call produces ambiguous attribute %s" a)
         tgt;
       env_src @ tgt
+    in
+    (env, List.rev !diags)
   in
-  let env = go [] root in
-  (env, List.rev !diags)
+  go root
 
 let check schema e = snd (infer schema e)
 

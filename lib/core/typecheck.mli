@@ -22,8 +22,16 @@ val scheme_env : Adm.Schema.t -> scheme:string -> alias:string -> env
     first (typed [Link scheme]), then the declared attributes. Empty
     for unknown schemes. *)
 
+type memo
+(** Inference results by physical plan node, shared across the calls
+    given it: a node met again — hash-consed plans share subtrees — is
+    not inferred twice. Valid for one schema and one [views]. *)
+
+val memo : unit -> memo
+
 val infer :
   ?views:(string -> (string * Adm.Webtype.t) list option) ->
+  ?memo:memo ->
   Adm.Schema.t ->
   Nalg.expr ->
   env * Diagnostic.t list

@@ -1,12 +1,16 @@
-(* Differential oracle for plan identity: Algorithm 1 as it ran before
-   plans carried a structural identity key, the brute-force
-   equivalence key, and attribute splitting by list surgery. The
-   closure, the soundness memos and the pre-cost dedup key every plan
-   by its printed canonical form, recomputed at each use; [plan_key]
-   takes the least serialization over every renumbering that permutes
-   same-signature occurrences. Slow on purpose — the tests check that
-   {!Planner.enumerate}, {!Contain.plan_key} and {!Nalg.split_attr}
-   give exactly the same answers. *)
+(* Differential oracles:
+
+   - Algorithm 1 as it ran before the plan memo: three whole-plan
+     closure phases (join rules with explicit commutation and rotation,
+     rule 6, rule 7), each deduplicating plans by identity, with
+     per-phase caps the caller raises until no phase is truncated;
+   - the brute-force equivalence key, which takes the least
+     serialization over every renumbering that permutes same-signature
+     occurrences;
+   - attribute splitting by list surgery.
+
+   Slow on purpose — the tests check that {!Planner.enumerate},
+   {!Contain.plan_key} and {!Nalg.split_attr} agree with them. *)
 
 open Webviews
 
@@ -156,24 +160,24 @@ let plan_key (e : Nalg.expr) : string =
   | None -> "S:" ^ Nalg.canonical e
 
 (* ------------------------------------------------------------------ *)
-(* String-keyed Algorithm 1                                           *)
+(* Phased Algorithm 1                                           *)
 (* ------------------------------------------------------------------ *)
 
 let closure ?(cap = 400) ?(on_rewrite = fun ~parent:_ ~child:_ -> ())
     (rules : (Nalg.expr -> Nalg.expr list) list) (seeds : Nalg.expr list) =
-  let seen = Hashtbl.create 64 in
+  let seen = Nalg.Key_tbl.create 64 in
   let out = ref [] in
   let queue = Queue.create () in
   let add e =
-    let k = Nalg.canonical e in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.replace seen k ();
+    let k = Nalg.key e in
+    if not (Nalg.Key_tbl.mem seen k) then begin
+      Nalg.Key_tbl.replace seen k ();
       out := e :: !out;
       Queue.add e queue
     end
   in
   List.iter add seeds;
-  while (not (Queue.is_empty queue)) && Hashtbl.length seen < cap do
+  while (not (Queue.is_empty queue)) && Nalg.Key_tbl.length seen < cap do
     let e = Queue.pop queue in
     List.iter
       (fun rule ->
@@ -197,21 +201,21 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let econ = match views with Some vc -> vc.Planner.vc_econ | None -> Cost.no_views in
   let known name = econ.Cost.view name <> None in
   let tc_views name = match views with None -> None | Some vc -> vc.Planner.vc_env name in
-  let inferred = Hashtbl.create 256 in
+  let inferred = Nalg.Key_tbl.create 256 in
   let infer_cached e =
-    let k = Nalg.canonical e in
-    match Hashtbl.find_opt inferred k with
+    let k = Nalg.key e in
+    match Nalg.Key_tbl.find_opt inferred k with
     | Some r -> r
     | None ->
       let r = Typecheck.infer ~views:tc_views schema e in
-      Hashtbl.add inferred k r;
+      Nalg.Key_tbl.add inferred k r;
       r
   in
-  let judged = Hashtbl.create 256 in
+  let judged = Nalg.Key_tbl.create 256 in
   let on_rewrite ~parent ~child =
-    let k = Nalg.canonical child in
-    if not (Hashtbl.mem judged k) then begin
-      Hashtbl.add judged k ();
+    let k = Nalg.key child in
+    if not (Nalg.Key_tbl.mem judged k) then begin
+      Nalg.Key_tbl.add judged k ();
       List.iter diag
         (Typecheck.judge ~parent:(infer_cached parent) ~child:(infer_cached child))
     end
@@ -277,14 +281,14 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   in
   let binding_plans = match bindings with None -> [] | Some f -> f q_plan in
   let pruned = with_projections @ view_plans @ binding_plans in
-  let seen = Hashtbl.create 64 in
+  let seen = Nalg.Key_tbl.create 64 in
   let costed =
     List.filter
       (fun e ->
-        let k = Nalg.canonical e in
-        if Hashtbl.mem seen k then false
+        let k = Nalg.key e in
+        if Nalg.Key_tbl.mem seen k then false
         else begin
-          Hashtbl.replace seen k ();
+          Nalg.Key_tbl.replace seen k ();
           true
         end)
       pruned
@@ -308,7 +312,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
   let candidates =
     List.filter
       (fun (p : Planner.plan) ->
-        let k = plan_key p.Planner.expr in
+        let k = Contain.plan_key p.Planner.expr in
         if Hashtbl.mem keyed k then begin
           incr merged;
           false
@@ -333,6 +337,7 @@ let enumerate ?cap ?(pointer_rules = true) ?(constraint_selections = true)
       Planner.best;
       candidates;
       explored = List.length pruned;
+      expressions = List.length pruned;
       merged = !merged;
       select = q.Conjunctive.select;
       view_used;

@@ -491,20 +491,6 @@ let test_random_candidates_typecheck () =
       done)
     [ 7; 21; 42 ]
 
-(* --- the cap diagnostic (W0401) ------------------------------------ *)
-
-let test_w0401_cap () =
-  let sql =
-    "SELECT d.DName, p.PName FROM Dept d, ProfDept pd, Professor p \
-     WHERE d.DName = pd.DName AND pd.PName = p.PName"
-  in
-  let o = Planner.plan_sql ~cap:5 uni_schema empty_stats uni_view sql in
-  check_code "truncated enumeration" "W0401" o.Planner.diagnostics;
-  Alcotest.(check bool) "still produced candidates" true (o.Planner.candidates <> []);
-  let full = Planner.plan_sql uni_schema empty_stats uni_view sql in
-  Alcotest.(check bool) "uncapped run reports no W0401" false
-    (has_code "W0401" full.Planner.diagnostics)
-
 let suite =
   ( "typecheck",
     [
@@ -546,5 +532,4 @@ let suite =
         test_bibliography_candidates_typecheck;
       Alcotest.test_case "random queries: candidates typecheck (seeds 7/21/42)"
         `Quick test_random_candidates_typecheck;
-      Alcotest.test_case "W0401 cap diagnostic" `Quick test_w0401_cap;
     ] )
